@@ -1,10 +1,9 @@
 // Scenario-analysis harness: drives cts::run_scenario over the
 // largest complexity_scaling instance and writes BENCH_scenario.json
-// so sampling throughput, skew yield and the skew/wire pareto
-// frontier are tracked from PR to PR (check_bench_regression.py gates
-// the committed baseline).
+// so sampling throughput and skew yield are tracked from change to
+// change (check_bench_regression.py gates the committed baseline).
 //
-// Three measurements:
+// Two measurements:
 //   1. nominal_wall_s -- one plain synthesis of scal_n800 (the
 //      denominator of the MC cost contract).
 //   2. Monte Carlo, 64 samples: the whole point of synthesizing once
@@ -12,8 +11,6 @@
 //      coverage must cost far less than 64 syntheses. The acceptance
 //      gate is mc_cost_ratio = mc_wall_s / nominal_wall_s < 3 --
 //      synthesis + 64 perturbed re-timings in under 3 nominal runs.
-//   3. pareto_sweep on a smaller instance (each tolerance is a full
-//      synthesis, so the sweep instance stays modest on purpose).
 //
 // The MC run repeats at 1, 2 and nproc fan-out threads; every run
 // must produce a yield curve BIT-IDENTICAL to the 1-thread run (the
@@ -66,12 +63,9 @@ int main() {
 
     const int mc_sinks = quick ? 200 : 800;
     const int mc_samples = quick ? 16 : 64;
-    const int pareto_sinks = quick ? 100 : 200;
     const char* instance = quick ? "scal_n200" : "scal_n800";
 
     const std::vector<cts::SinkSpec> sinks = make_instance(instance, mc_sinks, 11);
-    const std::vector<cts::SinkSpec> pareto_sinks_v =
-        make_instance("scal_pareto", pareto_sinks, 11);
     cts::SynthesisOptions opt;  // shipped defaults
 
     (void)bench::fitted();  // pay characterization/load outside the timers
@@ -129,34 +123,6 @@ int main() {
         ok = false;
     }
 
-    // 3. Pareto sweep: skew tolerance vs wirelength frontier.
-    cts::ScenarioSpec ps;
-    ps.mode = cts::ScenarioMode::pareto_sweep;
-    const auto t_ps = std::chrono::steady_clock::now();
-    const cts::ScenarioResult frontier =
-        cts::run_scenario(pareto_sinks_v, bench::fitted(), opt, ps);
-    const double pareto_wall_s = seconds_since(t_ps);
-
-    int frontier_points = 0;
-    double skew_min = 0.0, skew_max = 0.0, wire_min = 0.0, wire_max = 0.0;
-    for (const cts::ParetoPoint& p : frontier.pareto) {
-        if (!p.on_frontier) continue;
-        if (frontier_points == 0) {
-            skew_min = skew_max = p.skew_ps;
-            wire_min = wire_max = p.wirelength_um;
-        } else {
-            skew_min = std::min(skew_min, p.skew_ps);
-            skew_max = std::max(skew_max, p.skew_ps);
-            wire_min = std::min(wire_min, p.wirelength_um);
-            wire_max = std::max(wire_max, p.wirelength_um);
-        }
-        ++frontier_points;
-    }
-    std::printf("pareto    | %zu points (%d on frontier)  wall %6.3fs  "
-                "skew %.3f..%.3f ps  wire %.2f..%.2f mm\n",
-                frontier.pareto.size(), frontier_points, pareto_wall_s, skew_min, skew_max,
-                wire_min / 1000.0, wire_max / 1000.0);
-
     std::FILE* f = std::fopen("BENCH_scenario.json", "w");
     if (!f) {
         std::fprintf(stderr, "cannot write BENCH_scenario.json\n");
@@ -175,12 +141,6 @@ int main() {
     std::fprintf(f, "  \"yield_at_target\": %.6f,\n", reference.yield_at_target);
     std::fprintf(f, "  \"nominal_skew_ps\": %.6f,\n", reference.nominal_skew_ps);
     std::fprintf(f, "  \"threads_identical\": %s,\n", ok ? "true" : "false");
-    std::fprintf(f, "  \"pareto_sinks\": %d,\n", pareto_sinks);
-    std::fprintf(f, "  \"pareto_wall_s\": %.6f,\n", pareto_wall_s);
-    std::fprintf(f, "  \"pareto_points\": %zu,\n", frontier.pareto.size());
-    std::fprintf(f, "  \"frontier_points\": %d,\n", frontier_points);
-    std::fprintf(f, "  \"frontier_skew_extent_ps\": %.6f,\n", skew_max - skew_min);
-    std::fprintf(f, "  \"frontier_wire_extent_um\": %.3f,\n", wire_max - wire_min);
     std::fprintf(f, "  \"peak_rss_mb\": %.1f\n}\n", peak_rss_mb());
     std::fclose(f);
 

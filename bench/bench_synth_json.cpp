@@ -1,44 +1,29 @@
 // Synthesis perf harness: times the complexity_scaling /
-// table5_1-style instances under five configurations
+// table5_1-style instances in the shipped default configuration,
 //
-//   seed        - evaluation cache off, early exit off, batch
-//                 re-timing, serial (the pre-overhaul algorithm;
-//                 refactors may shift it at float-ulp level)
-//   opt         - cache + early exit on, batch re-timing, serial
-//                 (the PR-1 optimized algorithm)
-//   incremental - opt + the IncrementalTiming engine (dirty-slew
-//                 propagation), serial, ring frontier (the PR-2
-//                 configuration, maze overhaul levers off)
-//   maze_c2f    - incremental + precomputed delay rows + bucketed
-//                 frontier + coarse-to-fine grid, serial (the PR-3
-//                 configuration, skew refinement off)
-//   refine      - maze_c2f + the top-down skew refinement pass (the
-//                 PR-4 configuration: quantized engine, no
-//                 reclamation)
-//   reclaim     - refine + the exact (quantum-0) engine + the
-//                 engine-verified wirelength reclamation pass: the
-//                 current shipped default
-//   reclaim_parallel - reclaim, one thread per hw thread, the DAG
-//                 pipeline (docs/parallelism.md): merge / refine /
-//                 reclaim sweeps over the dependency-DAG executor
-//   reclaim_barrier - reclaim_parallel with the PR-1 per-level
-//                 barrier shape (SynthesisOptions::level_barrier) and
-//                 single-threaded post-passes. Its barrier_s phase is
-//                 the previously untimed serial extract/commit cost
-//                 the DAG pipeline removes; the dag_vs_barrier
-//                 speedup is the tentpole's acceptance number.
-//
-// The historical columns pin their PR's configuration explicitly
-// (incremental..refine keep the 0.25 ps slew quantum they were
-// measured with), so each column's delta stays attributable to one
-// PR's levers.
+//   default  - serial (num_threads = 1)
+//   parallel - one thread per hardware thread (num_threads = 0): the
+//              DAG pipeline of docs/parallelism.md, merge / refine /
+//              reclaim sweeps over the dependency-DAG executor
 //
 // and writes BENCH_synth.json next to the binary so the performance
-// trajectory is tracked from PR to PR. Each mode also records the
-// per-phase wall-clock split (maze vs balance vs timing, from
-// cts::profile) and the coarse-to-fine route/fallback counters.
-// Exit status is nonzero when a parallel run diverges from its
-// serial twin (they must be identical).
+// trajectory is tracked from change to change. The whole sweep --
+// calibration kernel, then every instance in both modes -- runs
+// kRounds times and each cell reports its best wall-clock: single
+// runs of these sub-second syntheses flap by 20% on a shared machine,
+// and spreading a cell's samples over the whole run keeps one burst
+// of foreign load from hitting all of them. Each mode also records
+// the per-phase split (maze vs balance vs timing, from cts::profile)
+// and the coarse-to-fine route/fallback counters of its last run.
+//
+// The file's `calibration_s` is the time of a fixed CPU kernel that
+// calls nothing in the library (calibration_kernel_seconds below): the
+// regression guard (tools/check_bench_regression.py) divides every
+// mode's seconds by it, so baselines from different machines compare
+// without a yardstick that moves with the code.
+//
+// Exit status is nonzero when a parallel run diverges from its serial
+// twin (they must be identical).
 //
 // Environment:
 //   CTSIM_BENCH_QUICK=1     drop the largest instances (CI smoke mode)
@@ -50,10 +35,12 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -73,15 +60,55 @@ double peak_rss_mb() {
     return static_cast<double>(ru.ru_maxrss) / 1024.0;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// Machine-speed yardstick: a fixed, deterministic CPU loop that
+/// calls nothing in the library, so its time moves with the machine
+/// and never with the code under test. It mixes the ingredients of
+/// the synthesis hot path -- dependent loads over a table larger than
+/// the private caches (like the tree arenas and label grids), polynomial
+/// float arithmetic and data-dependent branches.
+double calibration_kernel_seconds() {
+    constexpr std::size_t kTable = std::size_t{1} << 21;  // 16 MB
+    constexpr int kSteps = 3'000'000;
+    std::vector<std::uint64_t> table(kTable);
+    std::uint64_t x = 0;
+    for (std::uint64_t& t : table) {  // splitmix64 fill
+        x += 0x9e3779b97f4a7c15ULL;
+        std::uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        t = z ^ (z >> 31);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t idx = 0;
+    double acc = 0.0;
+    for (int i = 0; i < kSteps; ++i) {
+        const std::uint64_t v = table[idx];
+        idx = (v ^ static_cast<std::uint64_t>(i)) & (kTable - 1);
+        const double u = static_cast<double>(v >> 11) * 0x1p-53;
+        acc += ((0.3 * u - 1.7) * u + 2.1) * u;
+        if (acc > 1e6) acc -= 1e6;
+    }
+    const double s = seconds_since(t0);
+    volatile double sink = acc;
+    (void)sink;
+    return s;
+}
+
+constexpr int kRounds = 7;
+
 struct ModeResult {
-    double seconds{0.0};
+    double seconds{std::numeric_limits<double>::infinity()};  ///< best over rounds
     double wirelength_um{0.0};
     int buffers{0};
     double skew_ps{0.0};
     int tree_nodes{0};
-    double reclaimed_um{0.0};   ///< verified net reclaim (reclaim modes)
-    double refine_wall_s{0.0};  ///< skew-refine pass wall-clock
-    double reclaim_wall_s{0.0};  ///< wire-reclaim pass wall-clock
+    double reclaimed_um{0.0};    ///< verified net reclaim
+    double refine_wall_s{std::numeric_limits<double>::infinity()};   ///< skew-refine pass
+    double reclaim_wall_s{std::numeric_limits<double>::infinity()};  ///< wire-reclaim pass
     cts::profile::Snapshot phases;
 };
 
@@ -89,48 +116,26 @@ struct InstanceRow {
     std::string name;
     int sinks{0};
     double span_um{0.0};
-    ModeResult seed, opt, incr, c2f, refine, reclaim, reclaim_par, reclaim_barrier;
+    std::vector<cts::SinkSpec> sink_specs;
+    ModeResult serial, parallel;
     bool parallel_identical{true};
     double peak_rss_mb{0.0};  ///< process high-water as of this instance's end
 };
 
-enum class Mode { seed, opt, incremental, maze_c2f, refine, reclaim };
-
-cts::SynthesisOptions mode_options(Mode m, int threads) {
+/// One timed synthesis folded into `r`: best times so far, quality
+/// metrics and phase split of this run.
+void run_mode(const std::vector<cts::SinkSpec>& sinks, int threads, ModeResult& r) {
     cts::SynthesisOptions o;
-    const bool optimized = m != Mode::seed;
-    o.use_eval_cache = optimized;
-    o.maze_early_exit = optimized;
-    o.use_incremental_timing = m == Mode::incremental || m == Mode::maze_c2f ||
-                               m == Mode::refine || m == Mode::reclaim;
-    // The maze-overhaul levers are the delta of the maze_c2f column;
-    // the historical columns pin the PR-2 ring-frontier router.
-    const bool overhaul = m == Mode::maze_c2f || m == Mode::refine || m == Mode::reclaim;
-    o.maze_delay_rows = overhaul;
-    o.maze_bucket_frontier = overhaul;
-    o.maze_coarse_to_fine = overhaul;
-    // The refinement pass is the delta of the refine column; every
-    // historical column pins its pre-refinement measurement.
-    o.skew_refine = m == Mode::refine || m == Mode::reclaim;
-    // The reclaim column is the shipped default: the exact engine
-    // (PR 5 canonicalization; the PR 2-4 columns keep the 0.25 ps
-    // quantum they were measured with) plus the verified wirelength
-    // reclamation pass.
-    o.timing_slew_quantum_ps = m == Mode::reclaim ? 0.0 : 0.25;
-    o.wire_reclaim = m == Mode::reclaim;
     o.num_threads = threads;
-    return o;
-}
-
-ModeResult run_mode(const std::vector<cts::SinkSpec>& sinks, const cts::SynthesisOptions& o) {
-    ModeResult r;
     cts::profile::enable(true);
     cts::profile::reset();
     const auto t0 = std::chrono::steady_clock::now();
     const cts::SynthesisResult res = cts::synthesize(sinks, bench::fitted(), o);
-    r.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    r.seconds = std::min(r.seconds, seconds_since(t0));
     r.phases = cts::profile::snapshot();
     cts::profile::enable(false);
+    r.refine_wall_s = std::min(r.refine_wall_s, res.refine.wall_s);
+    r.reclaim_wall_s = std::min(r.reclaim_wall_s, res.reclaim.wall_s);
     r.wirelength_um = res.wire_length_um;
     r.buffers = res.buffer_count;
     r.skew_ps = res.root_timing.max_ps - res.root_timing.min_ps;
@@ -138,9 +143,6 @@ ModeResult run_mode(const std::vector<cts::SinkSpec>& sinks, const cts::Synthesi
     // arena slots), consistent with the buffer/wirelength metrics.
     r.tree_nodes = static_cast<int>(res.tree.subtree(res.root).size());
     r.reclaimed_um = res.reclaim.reclaimed_um;
-    r.refine_wall_s = res.refine.wall_s;
-    r.reclaim_wall_s = res.reclaim.wall_s;
-    return r;
 }
 
 /// Wall-clock ratio with a floor against timer noise on sub-ms passes.
@@ -148,46 +150,17 @@ double speedup(double serial_s, double parallel_s) {
     return serial_s / std::max(parallel_s, 1e-9);
 }
 
-InstanceRow run_instance(const std::string& name, int nsinks, double span, unsigned seed) {
+InstanceRow make_row(const std::string& name, int nsinks, double span, unsigned seed) {
     bench_io::BenchmarkSpec spec;
     spec.name = name;
     spec.sink_count = nsinks;
     spec.die_span_um = span;
     spec.seed = seed;
-    const auto sinks = bench_io::generate(spec);
-
     InstanceRow row;
     row.name = name;
     row.sinks = nsinks;
     row.span_um = span;
-    row.seed = run_mode(sinks, mode_options(Mode::seed, 1));
-    row.opt = run_mode(sinks, mode_options(Mode::opt, 1));
-    row.incr = run_mode(sinks, mode_options(Mode::incremental, 1));
-    row.c2f = run_mode(sinks, mode_options(Mode::maze_c2f, 1));
-    row.refine = run_mode(sinks, mode_options(Mode::refine, 1));
-    row.reclaim = run_mode(sinks, mode_options(Mode::reclaim, 1));
-    row.reclaim_par = run_mode(sinks, mode_options(Mode::reclaim, 0));
-    {
-        cts::SynthesisOptions bo = mode_options(Mode::reclaim, 0);
-        bo.level_barrier = true;
-        row.reclaim_barrier = run_mode(sinks, bo);
-    }
-    const auto same = [&](const ModeResult& a, const ModeResult& b) {
-        return a.wirelength_um == b.wirelength_um && a.buffers == b.buffers &&
-               a.skew_ps == b.skew_ps && a.tree_nodes == b.tree_nodes;
-    };
-    row.parallel_identical = same(row.reclaim, row.reclaim_par) &&
-                             same(row.reclaim, row.reclaim_barrier);
-    row.peak_rss_mb = peak_rss_mb();
-    std::printf("%-18s %6d sinks %7.0f um | seed %7.3fs  opt %7.3fs  incr %7.3fs  "
-                "c2f %7.3fs  refine %7.3fs  reclaim %7.3fs (-%.0f um wl)  "
-                "dag %7.3fs  barrier %7.3fs  rss %6.1f MB%s\n",
-                name.c_str(), nsinks, span, row.seed.seconds, row.opt.seconds,
-                row.incr.seconds, row.c2f.seconds, row.refine.seconds, row.reclaim.seconds,
-                row.reclaim.reclaimed_um, row.reclaim_par.seconds,
-                row.reclaim_barrier.seconds, row.peak_rss_mb,
-                row.parallel_identical ? "" : "  [PARALLEL MISMATCH]");
-    std::fflush(stdout);
+    row.sink_specs = bench_io::generate(spec);
     return row;
 }
 
@@ -199,14 +172,14 @@ void emit_mode(std::FILE* f, const char* key, const ModeResult& m, bool trailing
                  "        \"refine_wall_s\": %.6f, \"reclaim_wall_s\": %.6f,\n"
                  "        \"phases\": {\"maze_s\": %.6f, \"balance_s\": %.6f, "
                  "\"timing_s\": %.6f, \"refine_s\": %.6f, \"reclaim_s\": %.6f, "
-                 "\"exec_idle_s\": %.6f, \"barrier_s\": %.6f},\n"
+                 "\"exec_idle_s\": %.6f},\n"
                  "        \"maze_calls\": %llu, \"c2f_coarse\": %llu, "
                  "\"c2f_refined\": %llu, \"c2f_fallbacks\": %llu, "
                  "\"dag_tasks\": %llu, \"dag_steals\": %llu}%s\n",
                  key, m.seconds, m.wirelength_um, m.buffers, m.skew_ps, m.tree_nodes,
                  m.reclaimed_um, m.refine_wall_s, m.reclaim_wall_s, m.phases.maze_s,
                  m.phases.balance_s, m.phases.timing_s, m.phases.refine_s,
-                 m.phases.reclaim_s, m.phases.exec_idle_s, m.phases.barrier_s,
+                 m.phases.reclaim_s, m.phases.exec_idle_s,
                  static_cast<unsigned long long>(m.phases.maze_calls),
                  static_cast<unsigned long long>(m.phases.c2f_coarse_routes),
                  static_cast<unsigned long long>(m.phases.c2f_refined),
@@ -235,7 +208,7 @@ int main() {
         warm.die_span_um = 10000.0;
         warm.seed = 1;
         const auto sinks = bench_io::generate(warm);
-        (void)cts::synthesize(sinks, bench::fitted(), mode_options(Mode::reclaim, 1));
+        (void)cts::synthesize(sinks, bench::fitted(), cts::SynthesisOptions{});
     }
 
     if (std::getenv("CTSIM_BENCH_RSS_ONLY") != nullptr) {
@@ -260,7 +233,9 @@ int main() {
             spec.die_span_um = s.span;
             spec.seed = s.seed;
             const auto sinks = bench_io::generate(spec);
-            (void)cts::synthesize(sinks, bench::fitted(), mode_options(Mode::reclaim, 0));
+            cts::SynthesisOptions o;
+            o.num_threads = 0;
+            (void)cts::synthesize(sinks, bench::fitted(), o);
             std::printf("%-14s peak RSS %7.1f MB\n", s.name, peak_rss_mb());
             std::fflush(stdout);
         }
@@ -268,23 +243,45 @@ int main() {
     }
 
     std::vector<InstanceRow> rows;
-    // complexity_scaling sink-count sweep (die 40 mm), seed 11 -- the
-    // largest instance is the acceptance metric of the overhaul PRs.
+    // complexity_scaling sink-count sweep (die 40 mm), seed 11.
     for (int n : {100, 200, 400, 800, 1600, 3200}) {
         if (quick && n > 400) continue;
-        rows.push_back(run_instance("scal_n" + std::to_string(n), n, 40000.0, 11));
+        rows.push_back(make_row("scal_n" + std::to_string(n), n, 40000.0, 11));
     }
     // complexity_scaling die-span sweep (400 sinks), seed 13: span
     // stresses the routing grids (the paper's O(l^2) term).
     for (double span : {20000.0, 80000.0}) {
         if (quick && span > 20000.0) continue;
-        rows.push_back(run_instance(
-            "scal_span" + std::to_string(static_cast<int>(span / 1000.0)), 400, span, 13));
+        rows.push_back(
+            make_row("scal_span" + std::to_string(static_cast<int>(span / 1000.0)), 400, span, 13));
     }
     // table5_1-style GSRC-r-class synthetic instances.
     for (int n : {267, 598}) {
         if (quick && n > 300) continue;
-        rows.push_back(run_instance("gsrc_r" + std::to_string(n), n, 69000.0, 42));
+        rows.push_back(make_row("gsrc_r" + std::to_string(n), n, 69000.0, 42));
+    }
+
+    double calibration_s = std::numeric_limits<double>::infinity();
+    for (int round = 0; round < kRounds; ++round) {
+        calibration_s = std::min(calibration_s, calibration_kernel_seconds());
+        for (InstanceRow& row : rows) {
+            run_mode(row.sink_specs, 1, row.serial);
+            run_mode(row.sink_specs, 0, row.parallel);
+            if (round == 0) row.peak_rss_mb = peak_rss_mb();
+        }
+    }
+    std::printf("calibration kernel: %.4f s\n", calibration_s);
+    for (InstanceRow& row : rows) {
+        const ModeResult& a = row.serial;
+        const ModeResult& b = row.parallel;
+        row.parallel_identical = a.wirelength_um == b.wirelength_um &&
+                                 a.buffers == b.buffers && a.skew_ps == b.skew_ps &&
+                                 a.tree_nodes == b.tree_nodes;
+        std::printf("%-18s %6d sinks %7.0f um | default %7.3fs  parallel %7.3fs  "
+                    "skew %6.3f ps  wl %9.0f um (-%.0f um reclaimed)  rss %6.1f MB%s\n",
+                    row.name.c_str(), row.sinks, row.span_um, a.seconds, b.seconds, a.skew_ps,
+                    a.wirelength_um, a.reclaimed_um, row.peak_rss_mb,
+                    row.parallel_identical ? "" : "  [PARALLEL MISMATCH]");
     }
 
     // Largest complexity_scaling instance present in this run.
@@ -303,111 +300,47 @@ int main() {
     }
     std::fprintf(f, "{\n  \"benchmark\": \"ctsim_synth\",\n  \"quick\": %s,\n",
                  quick ? "true" : "false");
+    std::fprintf(f, "  \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"calibration_s\": %.6f,\n", calibration_s);
     std::fprintf(f, "  \"instances\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const InstanceRow& r = rows[i];
         std::fprintf(f, "    {\n      \"name\": \"%s\", \"sinks\": %d, \"span_um\": %.0f,\n",
                      r.name.c_str(), r.sinks, r.span_um);
-        emit_mode(f, "seed", r.seed, true);
-        emit_mode(f, "opt", r.opt, true);
-        emit_mode(f, "incremental", r.incr, true);
-        emit_mode(f, "maze_c2f", r.c2f, true);
-        emit_mode(f, "refine", r.refine, true);
-        emit_mode(f, "reclaim", r.reclaim, true);
-        emit_mode(f, "reclaim_parallel", r.reclaim_par, true);
-        emit_mode(f, "reclaim_barrier", r.reclaim_barrier, true);
-        std::fprintf(f, "      \"speedup_seed_vs_opt\": %.3f,\n",
-                     r.seed.seconds / r.opt.seconds);
-        std::fprintf(f, "      \"speedup_opt_vs_incremental\": %.3f,\n",
-                     r.opt.seconds / r.incr.seconds);
-        std::fprintf(f, "      \"speedup_incremental_vs_maze_c2f\": %.3f,\n",
-                     r.incr.seconds / r.c2f.seconds);
-        std::fprintf(f, "      \"refine_overhead_pct\": %.2f,\n",
-                     100.0 * (r.refine.seconds / r.c2f.seconds - 1.0));
-        std::fprintf(f, "      \"refine_skew_delta_ps\": %.6f,\n",
-                     r.refine.skew_ps - r.c2f.skew_ps);
-        std::fprintf(f, "      \"reclaim_overhead_pct\": %.2f,\n",
-                     100.0 * (r.reclaim.seconds / r.refine.seconds - 1.0));
-        std::fprintf(f, "      \"reclaimed_wl_pct\": %.4f,\n",
-                     100.0 * r.reclaim.reclaimed_um /
-                         (r.reclaim.wirelength_um + r.reclaim.reclaimed_um));
-        // The tentpole's acceptance numbers: whole-pipeline DAG vs
-        // per-level barrier at the same width, and the post-pass
-        // speedups the barrier shape could never report (its passes
-        // were single-threaded by construction).
-        std::fprintf(f, "      \"dag_vs_barrier_speedup\": %.3f,\n",
-                     speedup(r.reclaim_barrier.seconds, r.reclaim_par.seconds));
+        emit_mode(f, "default", r.serial, true);
+        emit_mode(f, "parallel", r.parallel, true);
+        std::fprintf(f, "      \"parallel_speedup\": %.3f,\n",
+                     speedup(r.serial.seconds, r.parallel.seconds));
         std::fprintf(f, "      \"refine_parallel_speedup\": %.3f,\n",
-                     speedup(r.reclaim.refine_wall_s, r.reclaim_par.refine_wall_s));
+                     speedup(r.serial.refine_wall_s, r.parallel.refine_wall_s));
         std::fprintf(f, "      \"reclaim_parallel_speedup\": %.3f,\n",
-                     speedup(r.reclaim.reclaim_wall_s, r.reclaim_par.reclaim_wall_s));
+                     speedup(r.serial.reclaim_wall_s, r.parallel.reclaim_wall_s));
         std::fprintf(f, "      \"peak_rss_mb\": %.1f,\n", r.peak_rss_mb);
         std::fprintf(f, "      \"parallel_identical\": %s\n    }%s\n",
                      r.parallel_identical ? "true" : "false",
                      i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
-    if (largest) {
+    if (largest)
         std::fprintf(f, "  \"largest_complexity_scaling\": \"%s\",\n", largest->name.c_str());
-        std::fprintf(f, "  \"largest_speedup_seed_vs_opt\": %.3f,\n",
-                     largest->seed.seconds / largest->opt.seconds);
-        std::fprintf(f, "  \"largest_speedup_opt_vs_incremental\": %.3f,\n",
-                     largest->opt.seconds / largest->incr.seconds);
-        std::fprintf(f, "  \"largest_speedup_incremental_vs_maze_c2f\": %.3f,\n",
-                     largest->incr.seconds / largest->c2f.seconds);
-        std::fprintf(f, "  \"largest_refine_overhead_pct\": %.2f,\n",
-                     100.0 * (largest->refine.seconds / largest->c2f.seconds - 1.0));
-        std::fprintf(f, "  \"largest_reclaim_phase_pct\": %.2f,\n",
-                     100.0 * largest->reclaim.phases.reclaim_s / largest->reclaim.seconds);
-        std::fprintf(f, "  \"largest_dag_vs_barrier_speedup\": %.3f,\n",
-                     speedup(largest->reclaim_barrier.seconds,
-                             largest->reclaim_par.seconds));
-        std::fprintf(f, "  \"largest_barrier_cost_s\": %.6f,\n",
-                     largest->reclaim_barrier.phases.barrier_s);
-    }
     std::fprintf(f, "  \"peak_rss_mb\": %.1f,\n", peak_rss_mb());
     std::fprintf(f, "  \"all_parallel_identical\": %s\n}\n", all_identical ? "true" : "false");
     std::fclose(f);
 
     std::printf("\nwrote BENCH_synth.json\npeak RSS: %.1f MB\n", peak_rss_mb());
     if (largest) {
-        std::printf("largest complexity_scaling speedup (seed -> opt): %.2fx\n",
-                    largest->seed.seconds / largest->opt.seconds);
-        std::printf("largest complexity_scaling speedup (opt -> incremental): %.2fx\n",
-                    largest->opt.seconds / largest->incr.seconds);
-        std::printf("largest complexity_scaling speedup (incremental -> maze_c2f): %.2fx\n",
-                    largest->incr.seconds / largest->c2f.seconds);
-        std::printf("largest refine overhead (maze_c2f -> refine): %.2f%%, skew %.2f -> %.2f ps\n",
-                    100.0 * (largest->refine.seconds / largest->c2f.seconds - 1.0),
-                    largest->c2f.skew_ps, largest->refine.skew_ps);
-        std::printf("largest reclaim: %.0f um verified (-%.2f%% wl), reclaim_s %.1f%% of %.3fs\n",
-                    largest->reclaim.reclaimed_um,
-                    100.0 * largest->reclaim.reclaimed_um /
-                        (largest->reclaim.wirelength_um + largest->reclaim.reclaimed_um),
-                    100.0 * largest->reclaim.phases.reclaim_s / largest->reclaim.seconds,
-                    largest->reclaim.seconds);
-        std::printf("maze/balance/timing/refine/reclaim split (reclaim): "
+        const ModeResult& s = largest->serial;
+        const ModeResult& p = largest->parallel;
+        std::printf("largest %s: %.3fs serial, %.3fs x calibration\n", largest->name.c_str(),
+                    s.seconds, s.seconds / calibration_s);
+        std::printf("maze/balance/timing/refine/reclaim split: "
                     "%.3f / %.3f / %.3f / %.3f / %.3f s\n",
-                    largest->reclaim.phases.maze_s, largest->reclaim.phases.balance_s,
-                    largest->reclaim.phases.timing_s, largest->reclaim.phases.refine_s,
-                    largest->reclaim.phases.reclaim_s);
-        std::printf("largest DAG vs barrier: %.3fs vs %.3fs (%.2fx; barrier serial "
-                    "sections %.3fs, DAG idle %.3fs over %llu tasks / %llu steals)\n",
-                    largest->reclaim_par.seconds, largest->reclaim_barrier.seconds,
-                    speedup(largest->reclaim_barrier.seconds, largest->reclaim_par.seconds),
-                    largest->reclaim_barrier.phases.barrier_s,
-                    largest->reclaim_par.phases.exec_idle_s,
-                    static_cast<unsigned long long>(largest->reclaim_par.phases.dag_tasks),
-                    static_cast<unsigned long long>(largest->reclaim_par.phases.dag_steals));
-        std::printf("largest refine/reclaim parallel speedup: %.2fx / %.2fx "
-                    "(pass wall %.3fs/%.3fs serial -> %.3fs/%.3fs dag)\n",
-                    speedup(largest->reclaim.refine_wall_s,
-                            largest->reclaim_par.refine_wall_s),
-                    speedup(largest->reclaim.reclaim_wall_s,
-                            largest->reclaim_par.reclaim_wall_s),
-                    largest->reclaim.refine_wall_s, largest->reclaim.reclaim_wall_s,
-                    largest->reclaim_par.refine_wall_s,
-                    largest->reclaim_par.reclaim_wall_s);
+                    s.phases.maze_s, s.phases.balance_s, s.phases.timing_s, s.phases.refine_s,
+                    s.phases.reclaim_s);
+        std::printf("parallel: %.3fs (%.2fx; DAG idle %.3fs over %llu tasks / %llu steals)\n",
+                    p.seconds, speedup(s.seconds, p.seconds), p.phases.exec_idle_s,
+                    static_cast<unsigned long long>(p.phases.dag_tasks),
+                    static_cast<unsigned long long>(p.phases.dag_steals));
     }
     return all_identical ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 
 #include "bench/bench_util.h"
 #include "circuit/rc_tree.h"
+#include "cts/incremental_timing.h"
 #include "cts/maze.h"
 #include "cts/merge_routing.h"
 #include "sim/stage_solver.h"
@@ -76,8 +77,9 @@ void bm_full_merge(benchmark::State& state) {
         cts::ClockTree t;
         const int a = t.add_sink({0, 0}, 12.0);
         const int b = t.add_sink({8000, 3000}, 20.0);
+        cts::IncrementalTiming engine(t, model, cts::synthesis_timing_options(opt));
         state.ResumeTiming();
-        benchmark::DoNotOptimize(cts::merge_route(t, a, b, {0, 0}, {0, 0}, model, opt));
+        benchmark::DoNotOptimize(cts::merge_route(t, a, b, {0, 0}, {0, 0}, model, opt, engine));
     }
 }
 BENCHMARK(bm_full_merge);

@@ -168,13 +168,13 @@ void EditJournal::record_snake_removal(int ballast, int parent, int child,
     entries.push_back(e);
 }
 
-void EditJournal::undo(ClockTree& tree, IncrementalTiming* engine) {
+void EditJournal::undo(ClockTree& tree, IncrementalTiming& engine) {
     for (std::size_t i = entries.size(); i-- > 0;) {
         const Entry& e = entries[i];
         switch (e.kind) {
             case Entry::Kind::wire:
                 tree.node(e.node).parent_wire_um = e.old_wire_um;
-                if (engine) engine->wire_changed(e.node);
+                engine.wire_changed(e.node);
                 break;
             case Entry::Kind::snake_removal:
                 tree.disconnect(e.child);
@@ -183,10 +183,8 @@ void EditJournal::undo(ClockTree& tree, IncrementalTiming* engine) {
                 // Two components changed back: the ballast's own
                 // (wire below it restored) and its parent's (drives
                 // the ballast again instead of the child).
-                if (engine) {
-                    engine->wire_changed(e.child);
-                    engine->wire_changed(e.node);
-                }
+                engine.wire_changed(e.child);
+                engine.wire_changed(e.node);
                 break;
         }
     }
@@ -207,7 +205,7 @@ void remove_snake_stage(ClockTree& tree, int ballast, EditJournal& journal) {
 
 PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming* engine) {
+                            const SynthesisOptions& opt, IncrementalTiming& engine) {
     profile::ScopedPhase phase(profile::Phase::balance);
     PrebalanceResult res;
     res.root_a = a;
@@ -215,10 +213,9 @@ PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
     res.ta = ta;
     res.tb = tb;
 
-    const double assumed = opt.assumed_slew();
     const auto time_root = [&](int root) {
         profile::ScopedPhase tphase(profile::Phase::timing);
-        return engine_subtree_timing(tree, root, model, assumed, engine);
+        return engine.root_timing(root);
     };
 
     const double dist = geom::manhattan(tree.node(a).pos, tree.node(b).pos);

@@ -69,13 +69,12 @@ struct PrebalanceResult {
 
 /// The balance stage of Sec 4.2.1 for a merge of `a` and `b`: when the
 /// delay difference exceeds the in-route balancing reach, snake above
-/// the faster root and re-time that side. Re-timing runs on `engine`
-/// when provided (the snake stages stack above a parentless root, so
-/// no invalidation is needed -- the engine picks up the new nodes
-/// lazily) and falls back to batch subtree_timing otherwise.
+/// the faster root and re-time that side on `engine` (the snake
+/// stages stack above a parentless root, so no invalidation is needed
+/// -- the engine picks up the new nodes lazily).
 PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming* engine);
+                            const SynthesisOptions& opt, IncrementalTiming& engine);
 
 /// Reversible edit journal for the verified-batch passes
 /// (wire_reclaim.h): records the INVERSE of each stage-wire trim and
@@ -105,9 +104,9 @@ struct EditJournal {
     void clear() { entries.clear(); }
 
     /// Apply every inverse in reverse record order, notifying `engine`
-    /// (when given) of each restored wire so its cached state stays
-    /// consistent with the restored tree.
-    void undo(ClockTree& tree, IncrementalTiming* engine);
+    /// of each restored wire so its cached state stays consistent with
+    /// the restored tree.
+    void undo(ClockTree& tree, IncrementalTiming& engine);
 };
 
 /// Remove the delay-ballast snake stage `ballast` (a buffer with one

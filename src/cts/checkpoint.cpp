@@ -92,11 +92,11 @@ std::string get_name(std::istream& is) {
 
 // --- fingerprint ----------------------------------------------------
 
-/// Every decision-relevant option is folded in; knobs with a
-/// bit-for-bit identity contract (thread count, level_barrier) and
-/// the run-control handles (deadline, cancel token, the checkpointer
-/// itself) are deliberately left out -- a cut run is resumed WITHOUT
-/// its deadline, and must still match.
+/// Every decision-relevant option is folded in; the thread count
+/// (bit-for-bit identity contract) and the run-control handles
+/// (deadline, cancel token, the checkpointer itself) are deliberately
+/// left out -- a cut run is resumed WITHOUT its deadline, and must
+/// still match.
 void fingerprint_options(std::ostream& os, const SynthesisOptions& o) {
     put_dbl(os, o.slew_limit_ps);
     put_dbl(os, o.slew_target_ps);
@@ -111,13 +111,7 @@ void fingerprint_options(std::ostream& os, const SynthesisOptions& o) {
     put_dbl(os, o.assumed_input_slew_ps);
     os << ' ' << o.source_buffer;
     put_dbl(os, o.source_slew_ps);
-    os << ' ' << o.rng_seed << ' ' << o.use_eval_cache;
-    put_dbl(os, o.eval_cache_quantum_um);
-    os << ' ' << o.maze_early_exit << ' ' << o.maze_delay_rows << ' '
-       << o.maze_bucket_frontier << ' ' << o.maze_coarse_to_fine << ' '
-       << o.use_incremental_timing;
-    put_dbl(os, o.timing_slew_quantum_ps);
-    os << ' ' << o.skew_refine << ' ' << o.skew_refine_passes;
+    os << ' ' << o.rng_seed << ' ' << o.skew_refine << ' ' << o.skew_refine_passes;
     put_dbl(os, o.skew_refine_tol_ps);
     os << ' ' << o.wire_reclaim << ' ' << o.wire_reclaim_passes << ' '
        << o.wire_reclaim_batch;

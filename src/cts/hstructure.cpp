@@ -25,9 +25,9 @@ struct Attachment {
 /// untouched by the move, but subtree_replaced is the notification
 /// whose contract covers arbitrary structural change, and ablation
 /// runs are not hot enough to justify a narrower promise.)
-Attachment detach(ClockTree& tree, int child, IncrementalTiming* engine) {
+Attachment detach(ClockTree& tree, int child, IncrementalTiming& engine) {
     Attachment a{child, tree.node(child).parent, tree.node(child).parent_wire_um};
-    if (engine) engine->subtree_replaced(child);
+    engine.subtree_replaced(child);
     tree.disconnect(child);
     return a;
 }
@@ -36,9 +36,9 @@ Attachment detach(ClockTree& tree, int child, IncrementalTiming* engine) {
 /// (its cached aggregates stay warm), so only the new containing
 /// component and the aggregates above it need dirtying -- exactly
 /// wire_changed's footprint.
-void reattach(ClockTree& tree, const Attachment& a, IncrementalTiming* engine) {
+void reattach(ClockTree& tree, const Attachment& a, IncrementalTiming& engine) {
     tree.connect(a.parent, a.child, a.wire);
-    if (engine) engine->wire_changed(a.child);
+    engine.wire_changed(a.child);
 }
 
 double skew_of(const RootTiming& t) { return t.max_ps - t.min_ps; }
@@ -48,7 +48,7 @@ double skew_of(const RootTiming& t) { return t.max_ps - t.min_ps; }
 std::pair<int, int> hstructure_check(ClockTree& tree, int u, int v, HStructureContext ctx,
                                      const delaylib::DelayModel& model,
                                      const SynthesisOptions& opt, HStructureStats& stats,
-                                     IncrementalTiming* engine, const SynthesisContext* sctx) {
+                                     IncrementalTiming& engine, const SynthesisContext* sctx) {
     if (opt.hstructure == HStructureMode::off) return {u, v};
     const auto ru = ctx.records->find(u);
     const auto rv = ctx.records->find(v);

@@ -34,17 +34,16 @@ struct HStructureContext {
 /// roots the current level should merge (u and v themselves when the
 /// original pairing stands, or two freshly routed merge nodes).
 ///
-/// When `engine` is given (an IncrementalTiming attached to `tree`),
-/// every structural move is reported through the notification API --
+/// Every structural move is reported to `engine` (an IncrementalTiming
+/// attached to `tree`) through the notification API --
 /// subtree_replaced on a child root before it is detached (the
 /// containing component and ancestor aggregates go stale while the
 /// parent link still exists to walk), wire_changed after it is
-/// reattached -- and the candidate routings run through the engine,
-/// so H-structure ablation runs keep the incremental-timing speedup.
+/// reattached -- and the candidate routings re-time through it.
 std::pair<int, int> hstructure_check(ClockTree& tree, int u, int v, HStructureContext ctx,
                                      const delaylib::DelayModel& model,
                                      const SynthesisOptions& opt, HStructureStats& stats,
-                                     IncrementalTiming* engine = nullptr,
+                                     IncrementalTiming& engine,
                                      const SynthesisContext* sctx = nullptr);
 
 }  // namespace ctsim::cts

@@ -1,7 +1,6 @@
 #include "cts/incremental_timing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/fault_injection.h"
@@ -18,15 +17,6 @@ IncrementalTiming::IncrementalTiming(const ClockTree& tree, const delaylib::Dela
 void IncrementalTiming::ensure_size() {
     if (state_.size() < static_cast<std::size_t>(tree_->size()))
         state_.resize(tree_->size());
-}
-
-double IncrementalTiming::rep(double slew_ps) const {
-    if (opt_.slew_quantum_ps <= 0.0) return slew_ps;
-    // llround (not floor) so the representative is the NEAREST
-    // multiple: the substitution error is bounded by quantum/2 times
-    // the delay sensitivity to input slew.
-    return static_cast<double>(std::llround(slew_ps / opt_.slew_quantum_ps)) *
-           opt_.slew_quantum_ps;
 }
 
 void IncrementalTiming::dirty_above(int node) {
@@ -80,17 +70,17 @@ void IncrementalTiming::subtree_replaced(int node) {
 
 const IncrementalTiming::NodeState& IncrementalTiming::eval_head(int node, int dtype,
                                                                  bool real_buffer,
-                                                                 double slew_rep) {
+                                                                 double slew_ps) {
     NodeState& st = state_[node];
     const bool sig_ok = st.comp_valid && st.dtype == dtype &&
-                        st.real_buffer == real_buffer && st.slew_rep_ps == slew_rep;
-    if (sig_ok && st.agg_valid) return st;  // quantized-slew early termination
+                        st.real_buffer == real_buffer && st.slew_ps == slew_ps;
+    if (sig_ok && st.agg_valid) return st;  // equal-slew early termination
     if (!sig_ok) {
-        detail::eval_component(*tree_, *model_, node, dtype, slew_rep, real_buffer,
+        detail::eval_component(*tree_, *model_, node, dtype, slew_ps, real_buffer,
                                opt_.propagate_slews, opt_.input_slew_ps, st.comp);
         st.dtype = dtype;
         st.real_buffer = real_buffer;
-        st.slew_rep_ps = slew_rep;
+        st.slew_ps = slew_ps;
         st.comp_valid = true;
         ++evaluated_;
     }
@@ -107,7 +97,7 @@ const IncrementalTiming::NodeState& IncrementalTiming::eval_head(int node, int d
         }
         const double next = opt_.propagate_slews ? ld.slew_ps : opt_.input_slew_ps;
         const NodeState& ch =
-            eval_head(ld.node, tree_->node(ld.node).buffer_type, true, rep(next));
+            eval_head(ld.node, tree_->node(ld.node).buffer_type, true, next);
         worst = std::max(worst, ch.agg_worst_slew_ps);
         if (ch.has_sinks) {
             any = true;
@@ -129,8 +119,8 @@ RootTiming IncrementalTiming::root_timing(int root) {
     if (r.kind == NodeKind::sink) return {0.0, 0.0};
     const NodeState& st =
         r.kind == NodeKind::buffer
-            ? eval_head(root, r.buffer_type, true, rep(opt_.input_slew_ps))
-            : eval_head(root, vdriver_, false, rep(opt_.input_slew_ps));
+            ? eval_head(root, r.buffer_type, true, opt_.input_slew_ps)
+            : eval_head(root, vdriver_, false, opt_.input_slew_ps);
     if (!st.has_sinks) return {0.0, 0.0};
     return {st.agg_max_ps, st.agg_min_ps};
 }
@@ -155,7 +145,7 @@ void IncrementalTiming::emit_report(int head, double base, TimingReport& out) {
             continue;
         }
         const double next = opt_.propagate_slews ? ld.slew_ps : opt_.input_slew_ps;
-        eval_head(ld.node, tree_->node(ld.node).buffer_type, true, rep(next));
+        eval_head(ld.node, tree_->node(ld.node).buffer_type, true, next);
         emit_report(ld.node, arrival, out);
     }
 }
@@ -173,9 +163,9 @@ TimingReport IncrementalTiming::report(int root) {
         return out;
     }
     if (r.kind == NodeKind::buffer)
-        eval_head(root, r.buffer_type, true, rep(opt_.input_slew_ps));
+        eval_head(root, r.buffer_type, true, opt_.input_slew_ps);
     else
-        eval_head(root, vdriver_, false, rep(opt_.input_slew_ps));
+        eval_head(root, vdriver_, false, opt_.input_slew_ps);
     emit_report(root, 0.0, out);
     if (out.sinks.empty()) out.min_arrival_ps = 0.0;
     return out;

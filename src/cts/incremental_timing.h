@@ -5,13 +5,14 @@
 // min/max arrival of the whole subtree seen from that node's input.
 // Synthesis edits are reported through three notifications; queries
 // then re-evaluate only the dirty cone, and downward re-propagation
-// stops as soon as the slew delivered to a cached component quantizes
-// to the key it was last evaluated with (see the invalidation
-// contract at the top of timing.h for why that is sound).
+// stops as soon as the slew delivered to a cached component equals
+// the one it was last evaluated with (see the invalidation contract
+// at the top of timing.h for why that is sound). Results match batch
+// analyze() to <1e-9 ps.
 //
 // Purity and reproducibility: every cached value is a pure function
 // of the subtree structure below its node, the delay model and the
-// (quantized) input slew -- never of the edit history or of what else
+// input slew -- never of the edit history or of what else
 // shares the arena. A fresh engine over a private copy of a subtree
 // (parallel_merge.cpp) therefore produces bit-identical numbers to a
 // long-lived engine over the shared tree, which is what keeps
@@ -41,11 +42,6 @@ class IncrementalTiming {
         /// When false, every buffer input slew is reset to
         /// input_slew_ps (the pessimistic bottom-up assumption).
         bool propagate_slews{true};
-        /// Slew quantization step [ps]. Component inputs are snapped
-        /// to multiples of this before evaluation; <= 0 disables the
-        /// snapping (exact slews, early termination only on equality),
-        /// which reproduces batch analyze() to <1e-9 ps.
-        double slew_quantum_ps{0.0};
     };
 
     /// The engine observes (does not own) the tree and the model; both
@@ -80,7 +76,7 @@ class IncrementalTiming {
   private:
     struct NodeState {
         // Cache signature of the component evaluation.
-        double slew_rep_ps{0.0};
+        double slew_ps{0.0};
         std::int32_t dtype{-1};
         bool real_buffer{false};
         bool comp_valid{false};
@@ -95,12 +91,11 @@ class IncrementalTiming {
     };
 
     void ensure_size();
-    double rep(double slew_ps) const;
     /// Invalidate along the path above `node`: component caches up to
     /// (and including) the nearest buffer ancestor, aggregates all the
     /// way to the arena top.
     void dirty_above(int node);
-    const NodeState& eval_head(int node, int dtype, bool real_buffer, double slew_rep);
+    const NodeState& eval_head(int node, int dtype, bool real_buffer, double slew_ps);
     void emit_report(int head, double base, TimingReport& out);
 
     const ClockTree* tree_;
@@ -123,27 +118,7 @@ inline IncrementalTiming::Options synthesis_timing_options(const SynthesisOption
     o.virtual_driver = -1;
     o.input_slew_ps = opt.assumed_slew();
     o.propagate_slews = true;
-    o.slew_quantum_ps = opt.timing_slew_quantum_ps;
     return o;
-}
-
-/// Whether the synthesis loop attaches engines at all. H-structure
-/// re-pairings detach/reattach subtrees on the shared tree; since
-/// hstructure_check reports every such move through the notification
-/// API (subtree_replaced before a detach, wire_changed after a
-/// reattach), ablation modes keep the engine speedup too.
-inline bool incremental_timing_enabled(const SynthesisOptions& opt) {
-    return opt.use_incremental_timing;
-}
-
-/// The single engine-or-batch re-timing dispatch of the synthesis
-/// paths (prebalance, merge-time rebalance, final merge record):
-/// propagated slews from the subtree root either way.
-inline RootTiming engine_subtree_timing(const ClockTree& tree, int root,
-                                        const delaylib::DelayModel& model,
-                                        double assumed_slew_ps, IncrementalTiming* engine) {
-    return engine ? engine->root_timing(root)
-                  : subtree_timing(tree, root, model, assumed_slew_ps, /*propagate=*/true);
 }
 
 }  // namespace ctsim::cts

@@ -218,18 +218,12 @@ class SideDp {
         pool_.stamp[sidx] = epoch_;
         pool_.est[sidx] = dmax + wire_delay(seed.run_load, 0.0);
         pool_.data[sidx] = seed;
-        frontier_min_est_ = pool_.est[sidx];
     }
 
-    bool valid_at(geom::Cell c) const { return pool_.stamp[grid_.index(c)] == epoch_; }
     bool valid_at_index(int idx) const { return pool_.stamp[idx] == epoch_; }
     geom::Cell source_cell() const { return source_cell_; }
     int source_index() const { return grid_.index(source_cell_); }
     int max_ring() const { return max_ring_; }
-    /// Min est over the labels created by the last relax_ring call
-    /// (+inf when the ring produced none): a floor for every label any
-    /// later ring can produce, up to fit-noise slack.
-    double frontier_min_est() const { return frontier_min_est_; }
 
     /// Pessimistic delay from a would-be merge at `c` down to the
     /// slowest sink of this side.
@@ -240,14 +234,13 @@ class SideDp {
         return pool_.stamp[idx] == epoch_ && pool_.data[idx].expanded;
     }
 
-    /// Relax every cell at L1 cell-distance `ring` from the source
-    /// from its up-to-two predecessors (one step closer in x or y).
+    /// Dense reference sweep: relax every cell at L1 cell-distance
+    /// `ring` from the source from its up-to-two predecessors (one
+    /// step closer in x or y).
     void relax_ring(int ring) {
-        frontier_min_est_ = kInf;
         if (ring < 1 || ring > max_ring_) return;
         for_each_ring_cell(grid_, source_cell_, ring, [&](int x, int y, int dx, int dy) {
             const int to = grid_.index({x, y});
-            if (corridor_ && !corridor_->contains(to)) return;
             if (dx != 0) {
                 const int px = x + (dx > 0 ? -1 : 1);
                 relax(grid_.index({px, y}), to, grid_.pitch_x());
@@ -256,8 +249,6 @@ class SideDp {
                 const int py = y + (dy > 0 ? -1 : 1);
                 relax(grid_.index({x, py}), to, grid_.pitch_y());
             }
-            if (pool_.stamp[to] == epoch_)
-                frontier_min_est_ = std::min(frontier_min_est_, pool_.est[to]);
         });
     }
 
@@ -423,14 +414,14 @@ class SideDp {
     int tmax_{0};
     int max_ring_{0};
     std::uint32_t epoch_{0};
-    double frontier_min_est_{0.0};
 };
 
 /// Incumbent meet cell under the paper's selection rule: minimize
-/// |d1 - d2|, tie-broken by total. With `tol > 0`, diffs within `tol`
-/// count as ties (preferring the smaller total), which keeps fit-level
-/// noise in far cells from outbidding a near-ideal meet and is what
-/// makes a sound early exit possible.
+/// |d1 - d2|, tie-broken by total. With `tol > 0` (the bucket
+/// frontier), diffs within `tol` count as ties (preferring the smaller
+/// total), which keeps fit-level noise in far cells from outbidding a
+/// near-ideal meet and is what makes a sound early exit possible;
+/// `tol == 0` is the dense reference's exact selection.
 struct MeetIncumbent {
     double best_diff{std::numeric_limits<double>::max()};
     double best_total{std::numeric_limits<double>::max()};
@@ -444,7 +435,6 @@ struct MeetIncumbent {
         const double diff = std::abs(d1 - d2);
         const double total = d1 + d2;
         if (tol <= 0.0) {
-            // Exact replica of the seed full-scan selection.
             if (diff < best_diff - 1e-12 ||
                 (std::abs(diff - best_diff) <= 1e-12 && total < best_total)) {
                 best_diff = diff;
@@ -465,10 +455,6 @@ struct MeetIncumbent {
         return false;
     }
 };
-
-/// Stop after this many rings without material incumbent improvement
-/// (covers imbalanced merges where the analytic bound stays open).
-constexpr int kStaleRingLimit = 10;
 
 /// Bucket width of the cost-ordered frontier [ps].
 constexpr double kBucketWidthPs = 2.0;
@@ -574,13 +560,15 @@ class ScratchLease {
     std::uint64_t bytes_{0};
 };
 
-/// Route one grid level. Returns false when no meet cell was labeled
-/// by both sides (possible on coarse grids whose pitch exceeds every
+/// Route one grid level -- bucket frontier, or the dense reference
+/// sweep when `dense`. Returns false when no meet cell was labeled by
+/// both sides (possible on coarse grids whose pitch exceeds every
 /// buffer's feasible run, or inside an over-tight corridor).
 bool route_on_grid(const geom::RoutingGrid& grid, const RouteEndpoint& a,
                    const RouteEndpoint& b, const delaylib::DelayModel& model,
                    const SynthesisOptions& opt, delaylib::EvalCache& ec,
-                   const DelayRows* rows, const Corridor* corridor, MazeResult& out) {
+                   const DelayRows* rows, const Corridor* corridor, MazeResult& out,
+                   bool dense = false) {
     // Fault probe: a fired site reports this grid level infeasible,
     // driving the c2f fallback (coarse pass) or the structured
     // infeasible_route error (full grid) in maze_route.
@@ -592,24 +580,22 @@ bool route_on_grid(const geom::RoutingGrid& grid, const RouteEndpoint& a,
     SideDp dp2(grid, b, model, rows, corridor, ec, sc.pool2, epoch);
 
     MeetIncumbent inc;
-    inc.tol = opt.maze_early_exit ? kMazeMeetTolPs : 0.0;
+    inc.tol = dense ? 0.0 : kMazeMeetTolPs;
 
     const geom::Cell s1 = dp1.source_cell();
     const geom::Cell s2 = dp2.source_cell();
-    const auto ring_of = [](geom::Cell c, geom::Cell s) {
-        return std::abs(c.ix - s.ix) + std::abs(c.iy - s.iy);
-    };
 
-    if (!opt.maze_early_exit) {
-        // Reference path: full independent expansions, then a full-grid
-        // scan (bit-for-bit the seed behavior).
+    if (dense) {
+        // Reference oracle (maze_route_reference): full independent
+        // expansions, then a full-grid scan for the exact minimum-diff
+        // meet. Ignores cancellation.
         for (int r = 1; r <= dp1.max_ring(); ++r) dp1.relax_ring(r);
         for (int r = 1; r <= dp2.max_ring(); ++r) dp2.relax_ring(r);
         for (int idx = 0; idx < grid.cell_count(); ++idx) {
             if (!dp1.valid_at_index(idx) || !dp2.valid_at_index(idx)) continue;
             inc.offer(idx, dp1.est_at_index(idx), dp2.est_at_index(idx));
         }
-    } else if (opt.maze_bucket_frontier) {
+    } else {
         // Sparse frontier: both sides expand best-first from monotone
         // bucket queues over quantized est. Only live labels are
         // touched, and the incumbent bound closes the expansion as
@@ -727,64 +713,6 @@ bool route_on_grid(const geom::RoutingGrid& grid, const RouteEndpoint& a,
                 inc.best_idx = idx;
             }
         }
-    } else {
-        // Interleaved ring expansion: both fronts advance ring-by-ring;
-        // a cell becomes a meet candidate the moment the later side
-        // labels it. Expansion stops when no label any future ring can
-        // produce could beat the incumbent.
-        if (s1 == s2) inc.offer(grid.index(s1), dp1.delay_at(s1), dp2.delay_at(s2));
-        const int last_ring = std::max(dp1.max_ring(), dp2.max_ring());
-        int stale_rings = 0;
-        util::CancelToken* const cancel = opt.cancel;
-        for (int r = 1; r <= last_ring; ++r) {
-            // One cancellation poll per ring: past the trip, keep the
-            // first incumbent meet rather than expanding further.
-            if (cancel && inc.best_idx >= 0 && cancel->checked()) {
-                out.degraded = true;
-                profile::count_event(profile::Counter::maze_degraded);
-                break;
-            }
-            dp1.relax_ring(r);
-            dp2.relax_ring(r);
-
-            bool improved = false;
-            // New candidates: ring-r cells of side 1 the other side has
-            // already labeled, and ring-r cells of side 2 labeled by
-            // side 1 strictly earlier (avoids double-evaluating cells
-            // equidistant from both sources).
-            for_each_ring_cell(grid, s1, r, [&](int x, int y, int, int) {
-                const geom::Cell c{x, y};
-                if (ring_of(c, s2) > r) return;
-                if (dp1.valid_at(c) && dp2.valid_at(c))
-                    improved |= inc.offer(grid.index(c), dp1.delay_at(c), dp2.delay_at(c));
-            });
-            for_each_ring_cell(grid, s2, r, [&](int x, int y, int, int) {
-                const geom::Cell c{x, y};
-                if (ring_of(c, s1) >= r) return;
-                if (dp1.valid_at(c) && dp2.valid_at(c))
-                    improved |= inc.offer(grid.index(c), dp1.delay_at(c), dp2.delay_at(c));
-            });
-
-            if (inc.best_idx < 0) continue;
-            const double f1 = dp1.frontier_min_est();
-            const double f2 = dp2.frontier_min_est();
-            // Sound exit, valid once best_diff <= tol: a diff win needs
-            // diff < best_diff - tol <= 0, impossible; a tie win needs
-            // a smaller total, and every future candidate's total is
-            // bounded below by f1 + f2 (new on both sides) or by
-            // 2*min(f1, f2) - best_diff - tol (new on one side, since
-            // its fixed-side delay must stay within best_diff + tol of
-            // the new label to tie on diff). No bound exists for diff
-            // wins while best_diff > tol -- that regime exits only via
-            // the stale-ring fallback below.
-            const bool no_total_win =
-                f1 + f2 - kMazeMonoSlackPs > inc.best_total &&
-                2.0 * std::min(f1, f2) - inc.best_diff - inc.tol - kMazeMonoSlackPs >
-                    inc.best_total;
-            if (inc.best_diff <= inc.tol && no_total_win) break;
-            stale_rings = improved ? 0 : stale_rings + 1;
-            if (stale_rings > kStaleRingLimit) break;
-        }
     }
     if (inc.best_idx < 0) return false;
 
@@ -838,6 +766,16 @@ void mark_trace_corridor(Corridor& cor, const geom::RoutingGrid& fine,
     }
 }
 
+[[noreturn]] void throw_infeasible(const RouteEndpoint& a, const RouteEndpoint& b,
+                                   const SynthesisOptions& opt) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "maze: no feasible meet cell between (%.1f, %.1f) and (%.1f, %.1f) "
+                  "at slew target %.1f ps",
+                  a.pos.x, a.pos.y, b.pos.x, b.pos.y, opt.slew_target_ps);
+    util::throw_status(util::Status::infeasible_route(buf));
+}
+
 }  // namespace
 
 double max_feasible_run(const delaylib::DelayModel& model, int dtype, int ltype,
@@ -881,9 +819,7 @@ delaylib::EvalCache& eval_cache_for(const delaylib::DelayModel& model,
     cfg.model = &model;
     cfg.assumed_slew_ps = opt.assumed_slew();
     cfg.target_slew_ps = opt.slew_target_ps;
-    cfg.quantum_um = opt.eval_cache_quantum_um;
     cfg.intelligent_sizing = opt.intelligent_sizing;
-    cfg.enabled = opt.use_eval_cache;
     return delaylib::EvalCache::thread_local_for(cfg);
 }
 
@@ -899,9 +835,7 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
 
     delaylib::EvalCache& ec = eval_cache_for(model, opt);
     MemoryLadder* const ladder = ctx != nullptr ? ctx->memory_ladder : nullptr;
-    const bool rows_on =
-        opt.use_eval_cache && opt.maze_delay_rows && opt.eval_cache_quantum_um > 0.0;
-    const DelayRows* rows = rows_on ? &delay_rows_for(ec) : nullptr;
+    const DelayRows* rows = &delay_rows_for(ec);
     // Under budget pressure the shared rows fall back to the
     // EvalCache -- bit-identical values by the maze_rows.h contract,
     // so the ladder rung changes no routing decision.
@@ -941,8 +875,7 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
     // full-grid route when either pass fails (see maze.h). The
     // drop_c2f ladder rung skips the attempt outright: the coarse
     // grid and corridor stamps are pure extra memory.
-    bool c2f = opt.maze_coarse_to_fine && opt.maze_early_exit &&
-               std::min(grid.nx(), grid.ny()) >= kC2fMinDim &&
+    bool c2f = std::min(grid.nx(), grid.ny()) >= kC2fMinDim &&
                (ladder == nullptr || !ladder->at_least(MemoryRung::drop_c2f));
     if (c2f) {
         const geom::RoutingGrid coarse(grid.region(),
@@ -985,16 +918,21 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
         out.grid_coarsened = true;
         routed = route_on_grid(nominal, a, b, model, opt, ec, rows, nullptr, out);
     }
-    if (!routed) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "maze: no feasible meet cell between (%.1f, %.1f) and (%.1f, %.1f) "
-                      "at slew target %.1f ps",
-                      a.pos.x, a.pos.y, b.pos.x, b.pos.y, opt.slew_target_ps);
-        util::throw_status(util::Status::infeasible_route(buf));
-    }
+    if (!routed) throw_infeasible(a, b, opt);
     return out;
 }
 
+MazeResult maze_route_reference(const RouteEndpoint& a, const RouteEndpoint& b,
+                                const delaylib::DelayModel& model,
+                                const SynthesisOptions& opt) {
+    const geom::RoutingGrid grid = geom::RoutingGrid::for_net(
+        a.pos, b.pos, opt.grid_cells_per_dim, opt.grid_margin_um, opt.grid_max_pitch_um);
+    delaylib::EvalCache& ec = eval_cache_for(model, opt);
+    MazeResult out;
+    if (!route_on_grid(grid, a, b, model, opt, ec, &delay_rows_for(ec), nullptr, out,
+                       /*dense=*/true))
+        throw_infeasible(a, b, opt);
+    return out;
+}
 
 }  // namespace ctsim::cts

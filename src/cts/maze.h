@@ -18,40 +18,41 @@
 //
 // Engine contracts (mirroring the invalidation contract of timing.h):
 //
-//   * Precomputed-row quantization (maze_rows.h, on with
-//     `maze_delay_rows`): the relax loop reads stage-delay /
-//     feasible-run / buffer-choice values from per-(driver, load)
-//     arrays indexed by round(len / eval_cache_quantum_um) -- the
-//     exact EvalCache slot rule, with every entry pre-filled THROUGH
-//     the cache. Enabling the rows therefore changes no routing
-//     decision and no emitted number relative to routing through the
-//     cache; it only removes the per-relaxation probe overhead.
-//     Lengths outside a row's domain fall back to the cache.
-//   * Sparse bucketed frontier (`maze_bucket_frontier`): labels
-//     expand best-first from a monotone bucket queue over quantized
-//     path cost instead of the dense ring sweep. Path cost is
+//   * Precomputed-row quantization (maze_rows.h): the relax loop
+//     reads stage-delay / feasible-run / buffer-choice values from
+//     per-(driver, load) arrays indexed by
+//     round(len / EvalCache::kQuantumUm) -- the exact EvalCache slot
+//     rule, with every entry pre-filled THROUGH the cache. The rows
+//     therefore change no routing decision and no emitted number
+//     relative to routing through the cache; they only remove the
+//     per-relaxation probe overhead. Lengths outside a row's domain
+//     fall back to the cache, and so does a whole run whose memory
+//     ladder refused the rows' shared charge.
+//   * Sparse bucketed frontier: labels expand best-first from a
+//     monotone bucket queue over quantized path cost. Path cost is
 //     monotone along staircase edges up to the fitted surfaces'
 //     kMazeMonoSlackPs noise, so bucket floors (minus that slack)
 //     lower-bound every future label and the incumbent meet prunes
-//     whole buckets. Meets agree with the dense sweep's within
-//     kMazeMeetTolPs + 2 * kMazeMonoSlackPs (the binary-search stage
-//     and the engine-driven rebalance absorb the residual).
-//   * Coarse-to-fine grid (`maze_coarse_to_fine`): large merges route
-//     first on a ~5x-coarser grid over the same region, then refine
-//     at full resolution inside a corridor around the coarse path.
-//     FALLBACK: when the coarse pass finds no meet (a coarse pitch
-//     can exceed every buffer's feasible run) or the corridor route
-//     fails, the router re-routes on the plain full grid --
-//     maze_route never degrades its result availability, only its
-//     speed. Both conditions are counted in profile::Snapshot and the
-//     fallback is surfaced on MazeResult::c2f_fallback so the
-//     synthesis report can aggregate a warning.
+//     whole buckets. Meets agree with the dense reference sweep's
+//     (maze_route_reference) within kMazeMeetTolPs +
+//     2 * kMazeMonoSlackPs (the binary-search stage and the
+//     engine-driven rebalance absorb the residual).
+//   * Coarse-to-fine grid: merges whose grid has at least kC2fMinDim
+//     cells per side route first on a ~5x-coarser grid over the same
+//     region, then refine at full resolution inside a corridor around
+//     the coarse path. FALLBACK: when the coarse pass finds no meet
+//     (a coarse pitch can exceed every buffer's feasible run) or the
+//     corridor route fails, the router re-routes on the plain full
+//     grid -- maze_route never degrades its result availability, only
+//     its speed. Both conditions are counted in profile::Snapshot and
+//     the fallback is surfaced on MazeResult::c2f_fallback so the
+//     synthesis report can aggregate a warning. The memory ladder's
+//     drop_c2f rung skips the coarse pass outright.
 //   * Cooperative cancellation (SynthesisOptions::cancel): the
-//     early-exit expansions poll the token at bounded intervals; once
-//     it trips they stop at the first incumbent meet instead of
-//     exhausting the frontier (MazeResult::degraded). The route stays
-//     valid -- only its optimality degrades. The dense reference path
-//     (maze_early_exit off) is an ablation mode and ignores the
+//     expansion polls the token at bounded intervals; once it trips it
+//     stops at the first incumbent meet instead of exhausting the
+//     frontier (MazeResult::degraded). The route stays valid -- only
+//     its optimality degrades. The dense reference sweep ignores the
 //     token: its full-grid scan needs complete expansions.
 #ifndef CTSIM_CTS_MAZE_H
 #define CTSIM_CTS_MAZE_H
@@ -71,7 +72,7 @@ namespace ctsim::cts {
 /// Slack absorbing non-monotonicity of the fitted delay surfaces in
 /// the router's frontier lower bounds [ps].
 inline constexpr double kMazeMonoSlackPs = 2.0;
-/// Meet-diff tolerance of the early-exit paths [ps]. One grid step
+/// Meet-diff tolerance of the bucket frontier [ps]. One grid step
 /// changes a side's delay by a few ps, so sub-grid-step diffs are
 /// noise; the binary-search stage then slides the merge continuously
 /// along the free segment and the engine-driven rebalance trims the
@@ -152,6 +153,14 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
                       const delaylib::DelayModel& model, const SynthesisOptions& opt,
                       const SynthesisContext* ctx = nullptr);
 
+/// Test oracle for the bucket frontier: full dense expansions of both
+/// sides over the nominal grid (no coarse-to-fine, no memory ladder,
+/// no cancellation), then a full-grid scan for the exact
+/// minimum-|delay difference| meet. Throws like maze_route.
+MazeResult maze_route_reference(const RouteEndpoint& a, const RouteEndpoint& b,
+                                const delaylib::DelayModel& model,
+                                const SynthesisOptions& opt);
+
 /// Largest wire run that keeps the end slew at or under `target` when
 /// driven by `dtype` (input slew `assumed`) into `ltype`; used by the
 /// router, the balance stage, and the balance-reach estimate.
@@ -166,8 +175,7 @@ std::optional<int> choose_buffer(const delaylib::DelayModel& model, int ltype, d
                                  bool intelligent_sizing);
 
 /// The calling thread's memoized evaluation cache, (re)bound to this
-/// model and these options. Pass-through (uncached) when
-/// `opt.use_eval_cache` is false, so call sites need no branching.
+/// model and these options.
 delaylib::EvalCache& eval_cache_for(const delaylib::DelayModel& model,
                                     const SynthesisOptions& opt);
 

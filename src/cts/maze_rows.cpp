@@ -22,7 +22,6 @@ std::shared_ptr<const DelayRows> fill(delaylib::EvalCache& ec) {
     DelayRows& r = *rows;
     const delaylib::EvalCache::Config& cfg = ec.config();
     const int types = cfg.model->buffers().count();
-    r.quantum_um = cfg.quantum_um;
     r.tmax = cfg.model->buffers().largest();
     r.run_limit.resize(types);
     r.rows.assign(types, {});
@@ -34,7 +33,7 @@ std::shared_ptr<const DelayRows> fill(delaylib::EvalCache& ec) {
         row.stage_delay.resize(n);
         row.choice.resize(n);
         for (int i = 0; i < n; ++i) {
-            const double len = i * r.quantum_um;
+            const double len = i * delaylib::EvalCache::kQuantumUm;
             row.wire_delay[i] = ec.wire_delay(r.tmax, l, len);
             const auto t = ec.choose_buffer(l, len);
             row.choice[i] = static_cast<std::int16_t>(t ? *t : -1);

@@ -12,9 +12,9 @@
 // lookups -- zero cache probes, no filled-bit branches, no stats.
 //
 // Quantization contract: index i holds the value at length
-// i * quantum_um, and a query for length L reads index
-// round(L / quantum_um) -- exactly the EvalCache::hit_slot rule, so
-// enabling the rows cannot change a single routing decision relative
+// i * EvalCache::kQuantumUm, and a query for length L reads index
+// round(L / kQuantumUm) -- exactly the EvalCache::hit_slot rule, so
+// reading the rows cannot change a single routing decision relative
 // to routing through the cache. Lengths beyond a row's domain (runs
 // never exceed run_limit plus a couple of grid steps; the domain
 // covers that with margin) fall back to the EvalCache.
@@ -39,14 +39,13 @@
 namespace ctsim::cts {
 
 struct DelayRows {
-    double quantum_um{0.0};
     int tmax{0};  ///< largest buffer type (the virtual run driver)
 
     /// Router run cap per load type: maze_run_cap() (see SideDp's
     /// headroom rationale in maze.cpp).
     std::vector<double> run_limit;
 
-    /// Per load type, indexed by round(len / quantum):
+    /// Per load type, indexed by round(len / kQuantumUm):
     struct LoadRow {
         std::vector<double> wire_delay;   ///< wire_delay(tmax, l, len)
         std::vector<double> stage_delay;  ///< stage_delay(choice[i], l, len)
@@ -54,14 +53,9 @@ struct DelayRows {
     };
     std::vector<LoadRow> rows;
 
-    bool usable() const { return quantum_um > 0.0; }
-
-    /// MUST divide (not multiply by a reciprocal): EvalCache::hit_slot
-    /// rounds len / quantum, and a reciprocal product can land one ulp
-    /// below a .5 tie and pick the adjacent slot, breaking the
-    /// bit-identity contract for non-power-of-two quanta.
-    int index_of(double len_um) const {
-        return static_cast<int>(std::round(len_um / quantum_um));
+    /// Same division as EvalCache::hit_slot, so both pick the same slot.
+    static int index_of(double len_um) {
+        return static_cast<int>(std::round(len_um / delaylib::EvalCache::kQuantumUm));
     }
     bool covers(int load, int idx) const {
         return idx < static_cast<int>(rows[load].wire_delay.size());
@@ -71,8 +65,8 @@ struct DelayRows {
 /// The router's run cap for load type `l` under the largest driver
 /// `tmax`: deliberately below the slew-limited maximum so downstream
 /// stages keep wire-trim headroom (rationale in maze.cpp). The ONE
-/// definition both the row fill and the rows-off SideDp path use --
-/// the maze.h contract that enabling the rows changes no routing
+/// definition both the row fill and the cache-fallback SideDp path
+/// use -- the maze.h contract that the rows change no routing
 /// decision depends on these being bit-identical.
 inline double maze_run_cap(delaylib::EvalCache& ec, int tmax, int l) {
     return 0.60 * ec.max_feasible_run(tmax, l);
@@ -80,9 +74,8 @@ inline double maze_run_cap(delaylib::EvalCache& ec, int tmax, int l) {
 
 /// Shared immutable rows for `ec`'s configuration, built on first use
 /// per (configuration, model) and looked up lock-free on repeat calls
-/// from the same thread. `ec` must be enabled with a positive
-/// quantum; the fill routes through it, so the calling thread's cache
-/// is warmed as a side effect.
+/// from the same thread. The fill routes through `ec`, so the calling
+/// thread's cache is warmed as a side effect.
 const DelayRows& delay_rows_for(delaylib::EvalCache& ec);
 
 }  // namespace ctsim::cts

@@ -85,7 +85,7 @@ struct Arm {
 
 MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
                         const RootTiming& tb, const delaylib::DelayModel& model,
-                        const SynthesisOptions& opt, IncrementalTiming* engine,
+                        const SynthesisOptions& opt, IncrementalTiming& engine,
                         const SynthesisContext* ctx) {
     MergeRecord rec;
     rec.left_root = a;
@@ -97,7 +97,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
 
     const auto time_root = [&](int root) {
         profile::ScopedPhase phase(profile::Phase::timing);
-        return engine_subtree_timing(tree, root, model, assumed, engine);
+        return engine.root_timing(root);
     };
 
     // --- Balance stage ------------------------------------------------
@@ -305,7 +305,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
                     hi = mid;
             }
             tree.node(child).parent_wire_um = 0.5 * (lo + hi);
-            if (engine) engine->wire_changed(child);
+            engine.wire_changed(child);
             fast_dirty = true;
             rec.residual_diff_ps = std::abs(d_at(0.5 * (lo + hi)));
             // The stage-shift model is exact under assumed slews but
@@ -315,7 +315,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
         }
         if (hi_bound > wc + 1.0 && std::abs(d_at(hi_bound)) < std::abs(d0)) {
             tree.node(child).parent_wire_um = hi_bound;
-            if (engine) engine->wire_changed(child);
+            engine.wire_changed(child);
             fast_dirty = true;
             rec.residual_diff_ps = std::abs(d_at(hi_bound));
             continue;
@@ -337,7 +337,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
         // The snake nodes are fresh (never cached); the one stale
         // component is fast.buffer's, which now drives sr.new_root
         // over a re-centered wire.
-        if (engine) engine->wire_changed(sr.new_root);
+        engine.wire_changed(sr.new_root);
         fast_dirty = true;
     }
 

@@ -34,17 +34,16 @@ struct MergeRecord {
     bool grid_coarsened{false};
 };
 
-/// Merge the subtrees rooted at `a` and `b`. When `engine` is given
-/// (an IncrementalTiming attached to `tree`), all re-timing runs
-/// through it and every tree edit is reported via the notification
-/// API; the engine's cached state is the cross-round and cross-level
-/// speedup of the synthesis loop. With `engine == nullptr` each
-/// re-time is a batch subtree analysis (the PR-1 behavior). `ctx`
-/// carries the run-local pipeline handles (cts/context.h) and is
-/// forwarded into the router; null means an unladdered run.
+/// Merge the subtrees rooted at `a` and `b`. All re-timing runs
+/// through `engine` (an IncrementalTiming attached to `tree`) and
+/// every tree edit is reported via the notification API; the engine's
+/// cached state is the cross-round and cross-level speedup of the
+/// synthesis loop. `ctx` carries the run-local pipeline handles
+/// (cts/context.h) and is forwarded into the router; null means an
+/// unladdered run.
 MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
                         const RootTiming& tb, const delaylib::DelayModel& model,
-                        const SynthesisOptions& opt, IncrementalTiming* engine = nullptr,
+                        const SynthesisOptions& opt, IncrementalTiming& engine,
                         const SynthesisContext* ctx = nullptr);
 
 }  // namespace ctsim::cts

@@ -96,86 +96,21 @@ struct SynthesisOptions {
     /// Deterministic seed for tie-breaking / SeedPolicy::random.
     unsigned rng_seed{1};
 
-    // --- hot-path performance knobs ---------------------------------
-    /// Memoize delay-model evaluations (stage delay, end slew,
-    /// feasible runs, buffer choice) at the assumed slew, keyed on
-    /// quantized wire length. Off reproduces the unoptimized path.
-    bool use_eval_cache{true};
-    /// Length quantization step of the evaluation cache [um]. The
-    /// substitution error is bounded by quantum/2 times the delay
-    /// slope (well under 0.1 ps at the default).
-    double eval_cache_quantum_um{2.0};
-    /// Interleave the two maze fronts ring-by-ring and stop expanding
-    /// once no frontier label can beat the incumbent meet cell (plus a
-    /// small tolerance; see maze.cpp). Off reproduces the full-grid
-    /// seed expansion bit-for-bit.
-    bool maze_early_exit{true};
-    /// Hoist the relax loop's delay-model queries into per-(driver,
-    /// load) rows pre-filled at quantized run lengths (maze_rows.h).
-    /// Entries are bit-identical to EvalCache lookups, so toggling
-    /// this cannot change any routing decision; it only removes the
-    /// per-relaxation cache probes. Requires use_eval_cache.
-    bool maze_delay_rows{true};
-    /// Expand maze labels best-first from a monotone bucket queue over
-    /// quantized path cost instead of the dense ring-by-ring sweep, so
-    /// only live labels are touched and the incumbent bound prunes
-    /// whole buckets. Off reproduces the ring sweep. Requires
-    /// maze_early_exit (the full-grid reference path stays dense).
-    bool maze_bucket_frontier{true};
-    /// Route merges on a ~5x-coarser grid first, then refine at full
-    /// resolution inside a corridor around the coarse path; falls back
-    /// to the full grid when the coarse pass or the corridor route is
-    /// infeasible (see maze.h). Requires maze_early_exit.
-    bool maze_coarse_to_fine{true};
-    /// Worker threads for independent subtree merges within a level:
-    /// 1 = serial, 0 = one per hardware thread, n = exactly n.
-    /// Results are bit-for-bit identical across thread counts (merges
-    /// are routed in isolation and committed in pairing order).
+    /// Worker threads for independent subtree merges and the
+    /// refine/reclaim sweeps: 1 = serial, 0 = one per hardware thread,
+    /// n = exactly n. Each level's merges run through the deterministic
+    /// DAG executor (extract+route concurrently, commits published in
+    /// pairing order; see docs/parallelism.md), so results are
+    /// bit-for-bit identical across thread counts.
     int num_threads{1};
-    /// Fallback to the PR 1 level-barrier parallel shape: extract all
-    /// of a level serially, route with parallel_for, drain the commits
-    /// serially -- and leave the refine/reclaim sweeps single-threaded.
-    /// The default (false) pipelines each level through the
-    /// deterministic DAG executor (extract+route concurrently the
-    /// moment a merge's inputs exist, commits published in pairing
-    /// order; see docs/parallelism.md) and runs the refine/reclaim
-    /// sweeps over per-spine DAG nodes. Both shapes are bit-for-bit
-    /// identical to serial; this knob exists so the barrier's cost
-    /// stays benchable. Ignored when num_threads == 1.
-    bool level_barrier{false};
-    /// Drive the merge-time re-timing through cts::IncrementalTiming
-    /// (dirty-slew propagation) instead of batch subtree re-analysis.
-    /// Serial/parallel stays bit-for-bit identical (the engine is a
-    /// pure function of the subtree). H-structure re-pairings report
-    /// their subtree moves through the notification API, so ablation
-    /// modes keep the engine too. Off reproduces the batch-retimed
-    /// hot path.
-    bool use_incremental_timing{true};
-    /// Slew quantization step of the incremental engine [ps]: slews
-    /// delivered to a component are snapped to multiples of this, so
-    /// re-propagation stops where the quantized slew is unchanged.
-    /// The substitution error per stage is bounded by quantum/2 times
-    /// the (sub-unity) delay sensitivity to input slew. <= 0 keeps
-    /// exact slews (early termination only on equal slews, which
-    /// reproduces the batch-retimed results bit-for-bit).
-    ///
-    /// The shipped default is EXACT (0): a nonzero quantum perturbs
-    /// merge-time rebalance decisions away from the batch oracle's,
-    /// and that decision chaos was the largest contributor to the
-    /// cross-configuration wirelength band (PR 5 measured the
-    /// 16-config spread dropping from 4.3-5.8% to 1.7-3.1% on the
-    /// invariance instances when the engine went exact, for ~11%
-    /// end-to-end at scal_n3200 -- the quantum's win shrank to that
-    /// once the maze overhaul left timing a minority phase). Set
-    /// 0.25 to reproduce the PR 2-4 quantized configuration.
-    double timing_slew_quantum_ps{0.0};
+
+    // --- post-synthesis passes --------------------------------------
     /// Run the post-synthesis top-down skew refinement pass
     /// (skew_refine.h): every merge node's two-sided balance is
     /// re-solved on the finished tree (stage-wire trims, coupled
     /// tap-point slides, buffer-size swaps, residual snaking), driving
-    /// all re-timing through the incremental engine. This clamps the
-    /// root-skew band that decision-level chaos opens between engine
-    /// configurations; off reproduces the unrefined bottom-up result.
+    /// all re-timing through the incremental engine. Off reproduces the
+    /// unrefined bottom-up result.
     bool skew_refine{true};
     /// Full deepest-first sweeps of the refinement pass; it stops
     /// earlier at a fixed point (a sweep that moves no knob).
@@ -188,9 +123,8 @@ struct SynthesisOptions {
     /// snake-stage removals are applied in budgeted batches, each
     /// batch verified wholesale by one IncrementalTiming truth walk
     /// and rolled back (recorded inverse edits) when the verified
-    /// skew regresses beyond wire_reclaim_skew_tol_ps. Closes the
-    /// cross-configuration wirelength band the skew refinement pass
-    /// cannot reach; off reproduces the unreclaimed tree.
+    /// skew regresses beyond wire_reclaim_skew_tol_ps. Off reproduces
+    /// the unreclaimed tree.
     bool wire_reclaim{true};
     /// Verified sweeps of the reclamation pass (each costs one truth
     /// walk); it stops earlier when no candidate clears the minimum

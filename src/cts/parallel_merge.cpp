@@ -65,19 +65,14 @@ ExtractedMerge extract_merge(const ClockTree& tree, int a, int b, const RootTimi
 void route_extracted(ExtractedMerge& m, const delaylib::DelayModel& model,
                      const SynthesisOptions& opt, const SynthesisContext* ctx) {
     try {
-        if (incremental_timing_enabled(opt)) {
-            // A fresh engine per private arena: no cross-level cache
-            // reuse here, but the cached values are pure functions of
-            // the subtree, so the numbers (and hence the committed
-            // structure) are bit-identical to the serial synthesizer's
-            // long-lived engine.
-            IncrementalTiming engine(m.local, model, synthesis_timing_options(opt));
-            m.record = merge_route(m.local, m.local_a, m.local_b, m.ta, m.tb, model, opt,
-                                   &engine, ctx);
-        } else {
-            m.record = merge_route(m.local, m.local_a, m.local_b, m.ta, m.tb, model, opt,
-                                   nullptr, ctx);
-        }
+        // A fresh engine per private arena: no cross-level cache reuse
+        // here, but the cached values are pure functions of the
+        // subtree, so the numbers (and hence the committed structure)
+        // are bit-identical to the serial synthesizer's long-lived
+        // engine.
+        IncrementalTiming engine(m.local, model, synthesis_timing_options(opt));
+        m.record = merge_route(m.local, m.local_a, m.local_b, m.ta, m.tb, model, opt, engine,
+                               ctx);
     } catch (...) {
         m.error = std::current_exception();
     }

@@ -16,8 +16,7 @@
 // are DAG-executor nodes (run = extract + route, commit = the pairing-
 // order publication; docs/parallelism.md), which overlaps later pairs'
 // routing with earlier pairs' commits instead of joining the level at
-// a barrier. SynthesisOptions::level_barrier restores the original
-// route-all / barrier / commit-all shape as a timed fallback.
+// a barrier.
 #ifndef CTSIM_CTS_PARALLEL_MERGE_H
 #define CTSIM_CTS_PARALLEL_MERGE_H
 

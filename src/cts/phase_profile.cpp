@@ -48,7 +48,6 @@ Snapshot ThreadCollector::snapshot() const {
     s.refine_s = secs(Phase::refine);
     s.reclaim_s = secs(Phase::reclaim);
     s.exec_idle_s = secs(Phase::exec_idle);
-    s.barrier_s = secs(Phase::barrier);
     const auto cnt = [&](Counter c) { return counters_[static_cast<int>(c)]; };
     s.maze_calls = cnt(Counter::maze_calls);
     s.c2f_coarse_routes = cnt(Counter::c2f_coarse_routes);
@@ -81,7 +80,6 @@ Snapshot snapshot() {
     s.refine_s = secs(g_phase_ns[static_cast<int>(Phase::refine)]);
     s.reclaim_s = secs(g_phase_ns[static_cast<int>(Phase::reclaim)]);
     s.exec_idle_s = secs(g_phase_ns[static_cast<int>(Phase::exec_idle)]);
-    s.barrier_s = secs(g_phase_ns[static_cast<int>(Phase::barrier)]);
     const auto cnt = [](Counter c) {
         return g_counters[static_cast<int>(c)].load(std::memory_order_relaxed);
     };

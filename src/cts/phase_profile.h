@@ -27,9 +27,8 @@ enum class Phase : int {
     refine = 3,
     reclaim = 4,
     exec_idle = 5,  ///< DAG-executor worker wait time (summed over workers)
-    barrier = 6,    ///< level-barrier serial sections (extract + commit drain)
 };
-inline constexpr int kPhaseCount = 7;
+inline constexpr int kPhaseCount = 6;
 
 enum class Counter : int {
     maze_calls = 0,       ///< maze_route invocations
@@ -59,7 +58,6 @@ struct Snapshot {
     std::uint64_t maze_degraded{0};
     std::uint64_t grid_coarsenings{0};
     double exec_idle_s{0.0};
-    double barrier_s{0.0};
     std::uint64_t dag_tasks{0};
     std::uint64_t dag_steals{0};
 };

@@ -104,20 +104,6 @@ void validate_spec(const ScenarioSpec& spec) {
         (spec.samples < 1 || spec.samples > 100000))
         bad("samples must be in [1, 100000]");
     if (spec.num_threads < 0) bad("num_threads must be >= 0");
-    for (const double t : spec.pareto_tols)
-        if (!std::isfinite(t) || t < 0.0) bad("pareto_tols entries must be finite and >= 0");
-}
-
-/// The engine configuration the nominal synthesis timed its final
-/// root_timing with: synthesis_timing_options, except the batch
-/// (engine-off) configuration forces the exact quantum -- mirroring
-/// the post-pass engine rule in synthesizer.cpp. Re-timing samples
-/// through the SAME configuration is what makes the zero-perturbation
-/// sample equal the nominal result bit-for-bit.
-IncrementalTiming::Options retime_options(const SynthesisOptions& base) {
-    IncrementalTiming::Options topt = synthesis_timing_options(base);
-    if (!incremental_timing_enabled(base)) topt.slew_quantum_ps = 0.0;
-    return topt;
 }
 
 /// Re-time the fixed nominal tree under one sample's scales. A fresh
@@ -154,10 +140,6 @@ void finish_yield(ScenarioResult& out, double target_ps) {
         static_cast<double>(under) / static_cast<double>(out.yield_curve_skew_ps.size());
 }
 
-/// Default reclaim-tolerance ladder of the pareto sweep: from "verify
-/// away any regression" to 8x the shipped default.
-const double kDefaultParetoTols[] = {0.0, 0.25, 0.5, 1.0, 2.0, 4.0};
-
 }  // namespace
 
 const char* scenario_mode_name(ScenarioMode m) {
@@ -165,7 +147,6 @@ const char* scenario_mode_name(ScenarioMode m) {
         case ScenarioMode::nominal: return "nominal";
         case ScenarioMode::corners: return "corners";
         case ScenarioMode::monte_carlo: return "monte_carlo";
-        case ScenarioMode::pareto_sweep: return "pareto_sweep";
     }
     return "unknown";
 }
@@ -178,58 +159,7 @@ ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,
     ScenarioResult out;
     out.mode = spec.mode;
 
-    if (spec.mode == ScenarioMode::pareto_sweep) {
-        // One full synthesis per tolerance -- the knob changes the
-        // committed tree, so there is no fixed tree to re-time. The
-        // sweep runs serially; each synthesis parallelizes internally
-        // per `base.num_threads` as usual.
-        std::vector<double> tols(spec.pareto_tols);
-        if (tols.empty())
-            tols.assign(std::begin(kDefaultParetoTols), std::end(kDefaultParetoTols));
-        out.pareto.reserve(tols.size());
-        for (const double tol : tols) {
-            SynthesisOptions opt = base;
-            opt.wire_reclaim = true;
-            opt.wire_reclaim_skew_tol_ps = tol;
-            const SynthesisResult res = synthesize(sinks, model, opt);
-            ParetoPoint p;
-            p.reclaim_tol_ps = tol;
-            p.skew_ps = res.root_timing.max_ps - res.root_timing.min_ps;
-            p.wirelength_um = res.wire_length_um;
-            out.pareto.push_back(p);
-        }
-        // Non-dominated filter (minimize both skew and wirelength):
-        // a point is on the frontier iff no other point is <= in both
-        // coordinates and < in one. By construction the frontier,
-        // sorted by skew ascending, has strictly decreasing
-        // wirelength -- the monotonicity cts_scenario_test pins.
-        for (std::size_t i = 0; i < out.pareto.size(); ++i) {
-            bool dominated = false;
-            for (std::size_t j = 0; j < out.pareto.size() && !dominated; ++j) {
-                if (i == j) continue;
-                const ParetoPoint& a = out.pareto[j];
-                const ParetoPoint& b = out.pareto[i];
-                const bool le = a.skew_ps <= b.skew_ps && a.wirelength_um <= b.wirelength_um;
-                const bool lt = a.skew_ps < b.skew_ps || a.wirelength_um < b.wirelength_um;
-                // Tie-break duplicates by sweep order so exactly one
-                // of two identical points survives.
-                dominated = le && (lt || j < i);
-            }
-            out.pareto[i].on_frontier = !dominated;
-        }
-        // The nominal record is the point at the shipped default
-        // tolerance when swept, else the first point.
-        const SynthesisOptions def;
-        std::size_t pick = 0;
-        for (std::size_t i = 0; i < tols.size(); ++i)
-            if (tols[i] == def.wire_reclaim_skew_tol_ps) pick = i;
-        out.nominal_skew_ps = out.pareto[pick].skew_ps;
-        out.nominal_wirelength_um = out.pareto[pick].wirelength_um;
-        finish_yield(out, spec.skew_target_ps);
-        return out;
-    }
-
-    // --- nominal / corners / monte_carlo: synthesize once -----------
+    // Every mode synthesizes once at nominal.
     const SynthesisResult nominal = synthesize(sinks, model, base);
     out.nominal_skew_ps = nominal.root_timing.max_ps - nominal.root_timing.min_ps;
     out.nominal_latency_ps = nominal.root_timing.max_ps;
@@ -237,7 +167,10 @@ ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,
     out.buffers = nominal.buffer_count;
     out.levels = nominal.levels;
 
-    const IncrementalTiming::Options topt = retime_options(base);
+    // Re-timing samples through the engine configuration the nominal
+    // synthesis timed its root with is what makes the zero-perturbation
+    // sample equal the nominal result bit-for-bit.
+    const IncrementalTiming::Options topt = synthesis_timing_options(base);
     const VariationSpec& var = spec.variation;
 
     // Per-sample scale triples, fixed up front so the fan-out writes

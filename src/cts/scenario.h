@@ -1,11 +1,10 @@
-// Declarative synthesis scenarios: variation-aware Monte-Carlo,
-// process corners, and multi-objective pareto sweeps as first-class
-// entry points (docs/scenarios.md).
+// Declarative synthesis scenarios: variation-aware Monte-Carlo and
+// process corners as first-class entry points (docs/scenarios.md).
 //
 // Everything below rides on two existing contracts:
 //
 //   * IncrementalTiming purity: every cached value is a pure function
-//     of the subtree, the delay model and the (quantized) input slew.
+//     of the subtree, the delay model and the input slew.
 //     Re-timing a FIXED tree under a perturbed model therefore costs
 //     one propagation, not a synthesis -- Monte-Carlo synthesizes the
 //     tree ONCE at nominal and prices each sample as a fresh engine
@@ -28,7 +27,6 @@ enum class ScenarioMode {
     nominal,      ///< one synthesis, no perturbation (the old entry point)
     corners,      ///< all 2^3 sign corners of the variation spec
     monte_carlo,  ///< seed-deterministic sampling of the variation box
-    pareto_sweep, ///< (skew, wirelength) frontier over the reclaim tolerance
 };
 
 const char* scenario_mode_name(ScenarioMode m);
@@ -53,9 +51,6 @@ struct ScenarioSpec {
     VariationSpec variation;
     /// Yield target [ps]: the reported yield is P(skew <= this).
     double skew_target_ps{10.0};
-    /// pareto_sweep: the wire_reclaim_skew_tol_ps values to synthesize
-    /// at; empty uses a default ladder (see scenario.cpp).
-    std::vector<double> pareto_tols;
     /// Worker threads for the sample fan-out (1 = serial, 0 = one per
     /// hardware thread). Results are bit-identical at any width.
     int num_threads{1};
@@ -69,15 +64,6 @@ struct ScenarioSample {
     double scale_wire_r{1.0};
     double scale_wire_c{1.0};
     double scale_buffer_drive{1.0};
-};
-
-/// One pareto_sweep synthesis.
-struct ParetoPoint {
-    double reclaim_tol_ps{0.0};
-    double skew_ps{0.0};
-    double wirelength_um{0.0};
-    /// On the non-dominated (skew, wirelength) frontier.
-    bool on_frontier{false};
 };
 
 struct ScenarioResult {
@@ -97,17 +83,14 @@ struct ScenarioResult {
     std::vector<double> yield_curve_skew_ps;
     /// P(skew <= skew_target_ps) over the curve.
     double yield_at_target{0.0};
-    /// pareto_sweep only: one point per swept tolerance, in sweep
-    /// order.
-    std::vector<ParetoPoint> pareto;
 };
 
 /// Validate `spec` (throws util::Error{invalid_input}) and run it.
-/// Monte-Carlo / corners synthesize ONCE at nominal with `base`, then
-/// re-time the fixed tree per sample through a fresh IncrementalTiming
-/// over a perturbed delay model; pareto_sweep synthesizes per
-/// tolerance. Deterministic: the result is bit-identical across
-/// spec.num_threads values and across reruns at a fixed seed.
+/// Every mode synthesizes ONCE at nominal with `base`; Monte-Carlo /
+/// corners then re-time the fixed tree per sample through a fresh
+/// IncrementalTiming over a perturbed delay model. Deterministic: the
+/// result is bit-identical across spec.num_threads values and across
+/// reruns at a fixed seed.
 ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,
                             const delaylib::DelayModel& model,
                             const SynthesisOptions& base, const ScenarioSpec& spec);

@@ -1,6 +1,5 @@
 #include "cts/synthesizer.h"
 
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <shared_mutex>
@@ -156,11 +155,20 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     // creates the persistent engine: the post-pass block builds a
     // fresh one on the adopted tree, and engine purity makes its
     // cached values bit-identical to the long-lived engine's.)
-    const bool engine_on = incremental_timing_enabled(opt);
     std::unique_ptr<IncrementalTiming> engine;
-    if (engine_on && !pool && !have_resume)
+    if (!pool && !have_resume)
         engine = std::make_unique<IncrementalTiming>(res.tree, model,
                                                      synthesis_timing_options(opt));
+    // The engine for one serial step on the shared tree (an H-structure
+    // check, a single-pair merge, the post-passes): the persistent
+    // engine, or a fresh one per step when there is none.
+    std::unique_ptr<IncrementalTiming> step_engine;
+    const auto serial_engine = [&]() -> IncrementalTiming& {
+        if (engine) return *engine;
+        step_engine = std::make_unique<IncrementalTiming>(res.tree, model,
+                                                          synthesis_timing_options(opt));
+        return *step_engine;
+    };
 
     // Degradation bookkeeping: every committed merge reports whether
     // its route fell back (c2f) or closed early on a tripped token.
@@ -195,20 +203,20 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         for (auto [u, v] : pairing.pairs) {
             if (opt.hstructure != HStructureMode::off)
                 std::tie(u, v) = hstructure_check(res.tree, u, v, hctx, model, opt,
-                                                  res.hstats, engine.get(), &ctx);
+                                                  res.hstats, serial_engine(), &ctx);
             pairs.emplace_back(u, v);
         }
 
         std::vector<int> next;
         next.reserve(pairs.size() + 1);
-        if (pool && pairs.size() > 1 && !opt.level_barrier) {
+        if (pool && pairs.size() > 1) {
             // DAG pipeline (docs/parallelism.md): one node per pair,
             // extract+route in the concurrent run phase, commit in the
             // rank-ordered lane. Pairs within a level are independent
             // (no edges); ranks = pairing order reproduce the serial
-            // node-id sequence exactly. Unlike the barrier below, a
-            // worker starts routing the moment it extracts -- and
-            // commits drain while later routes are still in flight.
+            // node-id sequence exactly. A worker starts routing the
+            // moment it extracts, and commits drain while later routes
+            // are still in flight.
             // The shared arena is the one read/write conflict: runs
             // snapshot subtrees under a shared lock, commits append
             // under the exclusive side.
@@ -248,42 +256,10 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
             // matching the serial first-failure order.
             dag.execute(pool.get());
             fold_dag_stats(dag.stats());
-        } else if (pool && pairs.size() > 1) {
-            // level_barrier fallback: the PR 1 shape, kept benchable.
-            // The serial extract prefix and commit drain are what the
-            // DAG path pipelines away; they are timed here (barrier_s)
-            // so the comparison is honest.
-            const auto t0 = std::chrono::steady_clock::now();
-            std::vector<ExtractedMerge> jobs;
-            jobs.reserve(pairs.size());
-            for (auto [u, v] : pairs)
-                jobs.push_back(extract_merge(res.tree, u, v, timing.at(u), timing.at(v)));
-            const auto t1 = std::chrono::steady_clock::now();
-            pool->parallel_for(static_cast<int>(jobs.size()),
-                               [&](int i) { route_extracted(jobs[i], model, opt, &ctx); });
-            const auto t2 = std::chrono::steady_clock::now();
-            for (const ExtractedMerge& j : jobs) {
-                const MergeRecord rec = commit_extracted(res.tree, j);
-                note_record(rec);
-                records[rec.merge_node] = rec;
-                timing[rec.merge_node] = rec.timing;
-                next.push_back(rec.merge_node);
-            }
-            const auto t3 = std::chrono::steady_clock::now();
-            profile::add_seconds(
-                profile::Phase::barrier,
-                std::chrono::duration<double>((t1 - t0) + (t3 - t2)).count());
         } else {
             for (auto [u, v] : pairs) {
-                IncrementalTiming* eng = engine.get();
-                std::unique_ptr<IncrementalTiming> per_merge;
-                if (engine_on && !eng) {
-                    per_merge = std::make_unique<IncrementalTiming>(
-                        res.tree, model, synthesis_timing_options(opt));
-                    eng = per_merge.get();
-                }
-                const MergeRecord rec = merge_route(res.tree, u, v, timing.at(u),
-                                                    timing.at(v), model, opt, eng, &ctx);
+                const MergeRecord rec = merge_route(res.tree, u, v, timing.at(u), timing.at(v),
+                                                    model, opt, serial_engine(), &ctx);
                 note_record(rec);
                 records[rec.merge_node] = rec;
                 timing[rec.merge_node] = rec.timing;
@@ -362,24 +338,14 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     // (wire_reclaim.h) on the same engine -- reclamation trusts the
     // engine to verify its batches, so the engine must have seen
     // every refinement edit. Serial runs reuse the persistent engine;
-    // pooled runs (and the batch-retimed path) build a fresh one here.
-    // Pooled runs also hand both passes the pool: their deepest-first
-    // sweeps run over the DAG executor (plan concurrently, apply in
-    // rank order -- see docs/parallelism.md), and engine purity plus
-    // rank-ordered application keeps the result bit-for-bit identical
-    // across thread counts. With the incremental engine disabled the
-    // post-pass engine runs at an exact (zero) slew quantum, matching
-    // batch re-timing semantics.
+    // pooled and resumed runs build a fresh one here. Pooled runs also
+    // hand both passes the pool: their deepest-first sweeps run over
+    // the DAG executor (plan concurrently, apply in rank order -- see
+    // docs/parallelism.md), and engine purity plus rank-ordered
+    // application keeps the result bit-for-bit identical across
+    // thread counts.
     if ((opt.skew_refine || opt.wire_reclaim) && !tripped_before_passes) {
-        IncrementalTiming* eng = engine.get();
-        std::unique_ptr<IncrementalTiming> local;
-        if (!eng) {
-            IncrementalTiming::Options topt = synthesis_timing_options(opt);
-            if (!engine_on) topt.slew_quantum_ps = 0.0;
-            local = std::make_unique<IncrementalTiming>(res.tree, model, topt);
-            eng = local.get();
-        }
-        util::ThreadPool* pass_pool = opt.level_barrier ? nullptr : pool.get();
+        IncrementalTiming& eng = serial_engine();
         // A snapshot at or past post_refine already holds the refine
         // pass's output (adopted above), so the resumed run skips the
         // pass itself.
@@ -387,7 +353,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
             have_resume && static_cast<int>(resumed.phase) >=
                                static_cast<int>(CheckpointPhase::post_refine);
         if (opt.skew_refine && !resumed_past_refine)
-            res.refine = refine_skew(res.tree, res.root, model, opt, *eng, pass_pool);
+            res.refine = refine_skew(res.tree, res.root, model, opt, eng, pool.get());
         if (res.refine.cancelled) {
             diag.deadline_hit = true;
             diag.degraded_at = DegradeStage::refine;
@@ -416,7 +382,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
                 have_resume && resumed.phase == CheckpointPhase::reclaim_sweep
                     ? &resumed.reclaim
                     : nullptr;
-            res.reclaim = reclaim_wire(res.tree, res.root, model, opt, *eng, pass_pool,
+            res.reclaim = reclaim_wire(res.tree, res.root, model, opt, eng, pool.get(),
                                        reclaim_resume);
             if (res.reclaim.cancelled) {
                 diag.deadline_hit = true;
@@ -425,7 +391,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
                 profile::count_event(profile::Counter::deadline_trips);
             }
         }
-        res.root_timing = eng->root_timing(res.root);
+        res.root_timing = eng.root_timing(res.root);
     }
 
     res.tree.validate_subtree(res.root);

@@ -31,14 +31,10 @@
 //   * subtree_replaced(n) drops every cached state at or below n and
 //     dirties the containing component and ancestor aggregates.
 //   * Downward re-propagation after a dirty component re-evaluates a
-//     child component only when the slew delivered to it changed
-//     QUANTIZED: slews are snapped to multiples of a configurable
-//     quantum before evaluation, so the child's inputs -- and hence,
-//     by purity, its entire cached subtree aggregate -- are provably
-//     unchanged when the quantized slew key matches. That is what
-//     makes a trim-knob nudge re-time O(depth) nodes instead of
-//     O(subtree). With a zero quantum the early termination only
-//     fires on exactly equal slews and the incremental report matches
+//     child component only when the slew delivered to it changed: the
+//     child's inputs -- and hence, by purity, its entire cached
+//     subtree aggregate -- are provably unchanged when the slew key
+//     matches exactly. The incremental report therefore matches
 //     analyze() to float-associativity (<1e-9 ps).
 #ifndef CTSIM_CTS_TIMING_H
 #define CTSIM_CTS_TIMING_H

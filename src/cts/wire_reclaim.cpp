@@ -610,7 +610,7 @@ WireReclaimStats reclaim_wire(ClockTree& tree, int root, const delaylib::DelayMo
             // Tripped mid-sweep: the batch is unverified. Undo it
             // wholesale (recorded inverse edits, engine re-notified)
             // so the returned tree is exactly the last verified one.
-            journal.undo(tree, &engine);
+            journal.undo(tree, engine);
             stats.cancelled = true;
             break;
         }
@@ -630,7 +630,7 @@ WireReclaimStats reclaim_wire(ClockTree& tree, int root, const delaylib::DelayMo
             // state) and retry with half the grants. `rep` still
             // describes the restored tree, so the next sweep re-ranks
             // identically and grants a prefix.
-            journal.undo(tree, &engine);
+            journal.undo(tree, engine);
             ++stats.batches_rolled_back;
             batch /= 2;
         } else {

@@ -22,14 +22,9 @@ void EvalCache::configure(const Config& cfg) {
     stats_ = Stats{};
 }
 
-double EvalCache::quantize(double len_um) const {
-    if (!cfg_.enabled || cfg_.quantum_um <= 0.0) return len_um;
-    return std::round(len_um / cfg_.quantum_um) * cfg_.quantum_um;
-}
-
 EvalCache::Slot& EvalCache::slot(int d, int l, double len_um) {
     auto& row = slots_[pair_index(d, l)];
-    const int idx = static_cast<int>(std::round(len_um / cfg_.quantum_um));
+    const int idx = static_cast<int>(std::round(len_um / kQuantumUm));
     if (idx >= static_cast<int>(row.size())) {
         const int want = std::min(std::max(idx + 1, 256), kMaxSlots);
         if (idx >= want) {
@@ -45,8 +40,6 @@ EvalCache::Slot& EvalCache::slot(int d, int l, double len_um) {
 }
 
 double EvalCache::wire_delay_slow(int d, int l, double len_um) {
-    if (!cfg_.enabled || cfg_.quantum_um <= 0.0)
-        return cfg_.model->wire_delay(d, l, cfg_.assumed_slew_ps, len_um);
     const double q = quantize(len_um);
     Slot& s = slot(d, l, q);
     if (!(s.filled & 1)) {
@@ -60,8 +53,6 @@ double EvalCache::wire_delay_slow(int d, int l, double len_um) {
 }
 
 double EvalCache::wire_slew_slow(int d, int l, double len_um) {
-    if (!cfg_.enabled || cfg_.quantum_um <= 0.0)
-        return cfg_.model->wire_slew(d, l, cfg_.assumed_slew_ps, len_um);
     const double q = quantize(len_um);
     Slot& s = slot(d, l, q);
     if (!(s.filled & 2)) {
@@ -75,9 +66,6 @@ double EvalCache::wire_slew_slow(int d, int l, double len_um) {
 }
 
 double EvalCache::stage_delay_slow(int d, int l, double len_um) {
-    if (!cfg_.enabled || cfg_.quantum_um <= 0.0)
-        return cfg_.model->buffer_delay(d, l, cfg_.assumed_slew_ps, len_um) +
-               cfg_.model->wire_delay(d, l, cfg_.assumed_slew_ps, len_um);
     const double q = quantize(len_um);
     Slot& s = slot(d, l, q);
     if (!(s.filled & 4)) {
@@ -93,7 +81,7 @@ double EvalCache::stage_delay_slow(int d, int l, double len_um) {
 
 double EvalCache::max_feasible_run(int d, int l) {
     double& cached = feasible_run_[pair_index(d, l)];
-    if (cfg_.enabled && !std::isnan(cached)) {
+    if (!std::isnan(cached)) {
         ++stats_.hits;
         return cached;
     }
@@ -118,7 +106,7 @@ double EvalCache::max_feasible_run(int d, int l) {
         run = lo;
     }
     ++stats_.misses;
-    if (cfg_.enabled) cached = run;
+    cached = run;
     return run;
 }
 
@@ -138,10 +126,8 @@ std::optional<int> EvalCache::choose_buffer(int l, double len_um) {
         }
         return best;
     };
-    if (!cfg_.enabled || cfg_.quantum_um <= 0.0) return direct(len_um);
-
     const double q = quantize(len_um);
-    const int idx = static_cast<int>(std::round(q / cfg_.quantum_um));
+    const int idx = static_cast<int>(std::round(q / kQuantumUm));
     auto& row = choice_[l];
     if (idx >= kMaxSlots) return direct(q);
     if (idx >= static_cast<int>(row.size()))

@@ -9,13 +9,10 @@
 // (driver type, load type, quantized wire length).
 //
 // Quantization: lengths are rounded to the nearest multiple of
-// `quantum_um`. Because delay and slew are smooth in length (fitted
+// kQuantumUm. Because delay and slew are smooth in length (fitted
 // low-order polynomials), the substitution error is bounded by
 // (quantum/2) * max|d(delay)/d(len)| -- well under a tenth of a ps for
-// the default 2 um quantum. Pass `quantum_um <= 0` (or construct with
-// `enabled = false`) to make every call a transparent pass-through to
-// the underlying model, which is how the unoptimized reference path is
-// measured.
+// the 2 um quantum.
 //
 // The feasible-run and buffer-choice queries of the router
 // (`max_feasible_run`, `choose_buffer`) are memoized here as well:
@@ -40,18 +37,19 @@ namespace ctsim::delaylib {
 
 class EvalCache {
   public:
+    /// Length quantization step [um].
+    static constexpr double kQuantumUm = 2.0;
+
     struct Config {
         const DelayModel* model{nullptr};
         double assumed_slew_ps{80.0};   ///< input slew of every cached query
         double target_slew_ps{80.0};    ///< slew budget for feasible-run queries
-        double quantum_um{2.0};         ///< length quantization step
         bool intelligent_sizing{true};  ///< buffer-choice policy
-        bool enabled{true};             ///< false = transparent pass-through
 
         friend bool operator==(const Config& a, const Config& b) {
             return a.model == b.model && a.assumed_slew_ps == b.assumed_slew_ps &&
-                   a.target_slew_ps == b.target_slew_ps && a.quantum_um == b.quantum_um &&
-                   a.intelligent_sizing == b.intelligent_sizing && a.enabled == b.enabled;
+                   a.target_slew_ps == b.target_slew_ps &&
+                   a.intelligent_sizing == b.intelligent_sizing;
         }
     };
 
@@ -63,14 +61,16 @@ class EvalCache {
     void configure(const Config& cfg);
     const Config& config() const { return cfg_; }
 
-    /// Length after quantization (identity when disabled).
-    double quantize(double len_um) const;
+    /// Length after quantization.
+    static double quantize(double len_um) {
+        return std::round(len_um / kQuantumUm) * kQuantumUm;
+    }
 
     /// Single-wire queries at the assumed slew, quantized length.
     /// The maze router's label relaxation issues tens of millions of
     /// these per synthesis, so the filled-slot hit path is inlined
-    /// here; misses (and the pass-through mode) take the out-of-line
-    /// slow path, which returns bit-identical values.
+    /// here; misses take the out-of-line slow path, which returns
+    /// bit-identical values.
     double wire_delay(int d, int l, double len_um) {
         if (const Slot* s = hit_slot(d, l, len_um); s && (s->filled & 1)) {
             ++stats_.hits;
@@ -126,14 +126,13 @@ class EvalCache {
     int pair_index(int d, int l) const { return d * type_count_ + l; }
     Slot& slot(int d, int l, double len_um);
     /// Existing slot for a length already inside the grown table, or
-    /// nullptr (disabled cache, out-of-range index, unfilled rows).
-    /// Uses the same std::round quantization as slot(), so hit/miss
-    /// paths agree on the slot for every length.
+    /// nullptr (out-of-range index, unfilled rows). Uses the same
+    /// std::round quantization as slot(), so hit/miss paths agree on
+    /// the slot for every length.
     const Slot* hit_slot(int d, int l, double len_um) const {
-        if (!cfg_.enabled || cfg_.quantum_um <= 0.0) return nullptr;
         const auto& row = slots_[pair_index(d, l)];
         const auto idx =
-            static_cast<std::size_t>(static_cast<int>(std::round(len_um / cfg_.quantum_um)));
+            static_cast<std::size_t>(static_cast<int>(std::round(len_um / kQuantumUm)));
         return idx < row.size() ? &row[idx] : nullptr;
     }
     double wire_delay_slow(int d, int l, double len_um);
@@ -147,8 +146,9 @@ class EvalCache {
     /// delays. (The stale pointer itself is never dereferenced.)
     std::uint64_t model_id_{0};
     int type_count_{0};
-    // Per (d, l) pair: slots indexed by round(len / quantum), grown on
-    // demand. Lengths beyond kMaxSlots * quantum fall through uncached.
+    // Per (d, l) pair: slots indexed by round(len / kQuantumUm), grown
+    // on demand. Lengths beyond kMaxSlots * kQuantumUm fall through
+    // uncached.
     static constexpr int kMaxSlots = 16384;
     std::vector<std::vector<Slot>> slots_;
     std::vector<double> feasible_run_;        // per (d, l); NaN = unfilled

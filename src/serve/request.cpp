@@ -78,8 +78,6 @@ void apply_options(const Json& obj, cts::SynthesisOptions& opt) {
             opt.wire_reclaim = require_bool(v, "options.wire_reclaim");
         } else if (key == "intelligent_sizing") {
             opt.intelligent_sizing = require_bool(v, "options.intelligent_sizing");
-        } else if (key == "timing_slew_quantum_ps") {
-            opt.timing_slew_quantum_ps = finite_nonneg(v, "options.timing_slew_quantum_ps");
         } else if (key == "num_threads") {
             bad("options.num_threads is not a per-request knob: the shared pool owns "
                 "parallelism (requests run one-per-worker)");
@@ -107,9 +105,7 @@ void apply_scenario(const Json& obj, cts::ScenarioSpec& spec) {
             if (s == "nominal") spec.mode = cts::ScenarioMode::nominal;
             else if (s == "corners") spec.mode = cts::ScenarioMode::corners;
             else if (s == "monte_carlo") spec.mode = cts::ScenarioMode::monte_carlo;
-            else if (s == "pareto_sweep") spec.mode = cts::ScenarioMode::pareto_sweep;
-            else bad("scenario.mode must be \"nominal\"|\"corners\"|\"monte_carlo\"|"
-                     "\"pareto_sweep\"");
+            else bad("scenario.mode must be \"nominal\"|\"corners\"|\"monte_carlo\"");
             have_mode = true;
         } else if (key == "samples") {
             const double d = require_number(v, "scenario.samples");
@@ -126,12 +122,6 @@ void apply_scenario(const Json& obj, cts::ScenarioSpec& spec) {
             spec.variation.buffer_drive_pct = pct_value(v, "scenario.buffer_drive_pct");
         } else if (key == "skew_target_ps") {
             spec.skew_target_ps = finite_nonneg(v, "scenario.skew_target_ps");
-        } else if (key == "pareto_tols") {
-            if (!v.is_array()) bad("scenario.pareto_tols must be an array of numbers");
-            if (v.items().size() > 64) bad("scenario.pareto_tols holds at most 64 entries");
-            spec.pareto_tols.clear();
-            for (const Json& t : v.items())
-                spec.pareto_tols.push_back(finite_nonneg(t, "scenario.pareto_tols[]"));
         } else if (key == "num_threads") {
             bad("scenario.num_threads is not a per-request knob: the shared pool owns "
                 "parallelism (requests run one-per-worker)");

@@ -246,16 +246,6 @@ void ServeSession::run_job(Job& job) {
                 out += ",\"scale_buffer_drive\":" + json_number(s.scale_buffer_drive);
                 out += "}";
             }
-            out += "],\"pareto\":[";
-            for (std::size_t i = 0; i < sres.pareto.size(); ++i) {
-                const cts::ParetoPoint& p = sres.pareto[i];
-                if (i) out += ',';
-                out += "{\"reclaim_tol_ps\":" + json_number(p.reclaim_tol_ps);
-                out += ",\"skew_ps\":" + json_number(p.skew_ps);
-                out += ",\"wirelength_um\":" + json_number(p.wirelength_um);
-                out += ",\"on_frontier\":" + std::string(p.on_frontier ? "true" : "false");
-                out += "}";
-            }
             out += "]},\"profile\":{";
             out += "\"maze_s\":" + json_number(prof.maze_s);
             out += ",\"timing_s\":" + json_number(prof.timing_s);

@@ -20,6 +20,7 @@ SynthesisOptions opts(HStructureMode mode) {
 /// Build two level-1 merges by hand and run the check on them.
 struct Fixture {
     ClockTree tree;
+    IncrementalTiming engine{tree, analytic(), synthesis_timing_options(SynthesisOptions{})};
     std::unordered_map<int, MergeRecord> records;
     std::unordered_map<int, RootTiming> timing;
     int u{-1}, v{-1};
@@ -32,8 +33,8 @@ struct Fixture {
             s[i] = tree.add_sink(pts[i], 12.0, util::indexed_name("s", i));
             timing[s[i]] = {0, 0};
         }
-        const MergeRecord m1 = merge_route(tree, s[0], s[1], {0, 0}, {0, 0}, m, o);
-        const MergeRecord m2 = merge_route(tree, s[2], s[3], {0, 0}, {0, 0}, m, o);
+        const MergeRecord m1 = merge_route(tree, s[0], s[1], {0, 0}, {0, 0}, m, o, engine);
+        const MergeRecord m2 = merge_route(tree, s[2], s[3], {0, 0}, {0, 0}, m, o, engine);
         records[m1.merge_node] = m1;
         records[m2.merge_node] = m2;
         timing[m1.merge_node] = m1.timing;
@@ -48,7 +49,7 @@ TEST(HStructure, OffModeIsIdentity) {
     HStructureStats stats;
     const auto [nu, nv] =
         hstructure_check(f.tree, f.u, f.v, {&f.records, &f.timing}, analytic(),
-                         opts(HStructureMode::off), stats);
+                         opts(HStructureMode::off), stats, f.engine);
     EXPECT_EQ(nu, f.u);
     EXPECT_EQ(nv, f.v);
     EXPECT_EQ(stats.checks, 0);
@@ -61,7 +62,7 @@ TEST(HStructure, KeepingOriginalRestoresTreeExactly) {
     HStructureStats stats;
     const auto [nu, nv] =
         hstructure_check(f.tree, f.u, f.v, {&f.records, &f.timing}, analytic(),
-                         opts(HStructureMode::correct), stats);
+                         opts(HStructureMode::correct), stats, f.engine);
     EXPECT_EQ(stats.checks, 1);
     EXPECT_EQ(nu, f.u);
     EXPECT_EQ(nv, f.v);
@@ -78,7 +79,7 @@ TEST(HStructure, CorrectionRepairsInterleavedPairing) {
     HStructureStats stats;
     const auto [nu, nv] =
         hstructure_check(f.tree, f.u, f.v, {&f.records, &f.timing}, analytic(),
-                         opts(HStructureMode::correct), stats);
+                         opts(HStructureMode::correct), stats, f.engine);
     EXPECT_EQ(stats.flips, 1);
     EXPECT_TRUE(nu != f.u || nv != f.v);
     f.tree.validate_subtree(nu);
@@ -96,7 +97,7 @@ TEST(HStructure, ReestimateFlipsOnCostAndRebuilds) {
     HStructureStats stats;
     const auto [nu, nv] =
         hstructure_check(f.tree, f.u, f.v, {&f.records, &f.timing}, analytic(),
-                         opts(HStructureMode::reestimate), stats);
+                         opts(HStructureMode::reestimate), stats, f.engine);
     EXPECT_EQ(stats.flips, 1);
     f.tree.validate_subtree(nu);
     f.tree.validate_subtree(nv);
@@ -129,11 +130,7 @@ TEST(HStructure, IncrementalEngineStaysConsistentAcrossRepairing) {
     for (HStructureMode mode : {HStructureMode::correct, HStructureMode::reestimate}) {
         for (const auto& pts : {interleaved, clustered}) {
             Fixture f(pts);
-            SynthesisOptions o = opts(mode);
-            // Exact slews: quantization's documented sub-ps
-            // substitution error would otherwise mask nothing but
-            // still trip the tight bound below.
-            o.timing_slew_quantum_ps = 0.0;
+            const SynthesisOptions o = opts(mode);
             IncrementalTiming engine(f.tree, analytic(), synthesis_timing_options(o));
             // Warm every cache the re-pairing will have to invalidate.
             (void)engine.root_timing(f.u);
@@ -142,7 +139,7 @@ TEST(HStructure, IncrementalEngineStaysConsistentAcrossRepairing) {
             HStructureStats stats;
             const auto [nu, nv] = hstructure_check(f.tree, f.u, f.v,
                                                    {&f.records, &f.timing}, analytic(), o,
-                                                   stats, &engine);
+                                                   stats, engine);
             EXPECT_EQ(stats.checks, 1);
             for (int root : {nu, nv}) {
                 f.tree.validate_subtree(root);
@@ -161,9 +158,8 @@ TEST(HStructure, FullFlowWithEngineMatchesOracle) {
     // Integration: a multi-level synthesis with H-structure checks
     // now runs on the persistent engine (it no longer bypasses
     // cts::IncrementalTiming). The engine-computed root timing of the
-    // result must track the batch oracle within the documented sub-ps
-    // slew-quantization error; a missed notification in any of the
-    // level's re-pairings would leave a far larger stale error.
+    // result must track the batch oracle; a missed notification in any
+    // of the level's re-pairings would leave a ps-scale stale error.
     for (HStructureMode mode : {HStructureMode::correct, HStructureMode::reestimate}) {
         const auto sinks = random_sinks(24, 9000.0, 4u);
         SynthesisOptions o;
@@ -198,7 +194,8 @@ TEST_P(MergeResidualProperty, BinarySearchBalancesArbitraryPairs) {
         ra = sr.new_root;
         ta = subtree_timing(t, ra, m, 80.0, true);
     }
-    const MergeRecord rec = merge_route(t, ra, b, ta, {0, 0}, m, SynthesisOptions{});
+    IncrementalTiming engine(t, m, synthesis_timing_options(SynthesisOptions{}));
+    const MergeRecord rec = merge_route(t, ra, b, ta, {0, 0}, m, SynthesisOptions{}, engine);
     t.validate_subtree(rec.merge_node);
     // The engine-driven rebalance must land within a couple of ps.
     EXPECT_LT(rec.residual_diff_ps, 2.5)

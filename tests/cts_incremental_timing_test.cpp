@@ -1,14 +1,16 @@
 // Property tests for cts::IncrementalTiming: after ANY sequence of
 // edits (wire re-route, buffer swap, subtree replace), the incremental
 // report must match batch analyze() on every sink, in both pessimistic
-// and propagated modes. A separate purity check pins the quantized
-// engine: cached state must never leak into results (a fresh engine
-// over the same tree returns bit-identical numbers).
+// and propagated modes. A separate purity check pins the engine:
+// cached state must never leak into results (a fresh engine over the
+// same tree returns bit-identical numbers).
 #include <gtest/gtest.h>
 
 #include <random>
+#include <unordered_map>
 
 #include "cts/incremental_timing.h"
+#include "cts/merge_routing.h"
 #include "cts_test_util.h"
 
 namespace ctsim::cts {
@@ -25,9 +27,9 @@ struct EnginePair {
     IncrementalTiming propagated;
     IncrementalTiming pessimistic;
 
-    EnginePair(const ClockTree& tree, const delaylib::DelayModel& model, double quantum)
-        : propagated(tree, model, {-1, 80.0, true, quantum}),
-          pessimistic(tree, model, {-1, 80.0, false, quantum}) {}
+    EnginePair(const ClockTree& tree, const delaylib::DelayModel& model)
+        : propagated(tree, model, {-1, 80.0, true}),
+          pessimistic(tree, model, {-1, 80.0, false}) {}
 
     void wire_changed(int n) {
         propagated.wire_changed(n);
@@ -132,7 +134,7 @@ const char* random_edit(ClockTree& tree, int root, std::mt19937& rng, EnginePair
 
 TEST(IncrementalTiming, MatchesBatchOnFreshSynthesizedTree) {
     SynthesisResult res = synthesized_tree(40, 11);
-    EnginePair engines(res.tree, analytic(), 0.0);
+    EnginePair engines(res.tree, analytic());
     expect_matches_batch(res.tree, res.root, engines.propagated, true, "fresh propagated");
     expect_matches_batch(res.tree, res.root, engines.pessimistic, false, "fresh pessimistic");
 }
@@ -140,7 +142,7 @@ TEST(IncrementalTiming, MatchesBatchOnFreshSynthesizedTree) {
 TEST(IncrementalTiming, MatchesBatchAfterRandomEditSequences) {
     for (unsigned seed : {3u, 17u, 91u}) {
         SynthesisResult res = synthesized_tree(32, seed);
-        EnginePair engines(res.tree, analytic(), 0.0);
+        EnginePair engines(res.tree, analytic());
         std::mt19937 rng(seed * 7 + 1);
         for (int step = 0; step < 60; ++step) {
             const char* what = random_edit(res.tree, res.root, rng, engines);
@@ -155,7 +157,7 @@ TEST(IncrementalTiming, MatchesBatchAfterRandomEditSequences) {
 
 TEST(IncrementalTiming, MatchesBatchAtInteriorRootsAfterEdits) {
     SynthesisResult res = synthesized_tree(24, 5);
-    EnginePair engines(res.tree, analytic(), 0.0);
+    EnginePair engines(res.tree, analytic());
     std::mt19937 rng(99);
     // Interleave edits with queries at interior subtree roots (the
     // synthesis access pattern: merge-local roots, then the top).
@@ -179,7 +181,7 @@ TEST(IncrementalTiming, ReportSurvivesInterleavedInteriorQueries) {
     // re-validate descendant components at the slews the walk
     // delivers, or it emits arrivals computed at the wrong slew.
     SynthesisResult res = synthesized_tree(60, 13);
-    EnginePair engines(res.tree, analytic(), 0.0);
+    EnginePair engines(res.tree, analytic());
     (void)engines.propagated.report(res.root);
     for (int i = 0; i < res.tree.size(); ++i)
         if (res.tree.node(i).kind == NodeKind::buffer)
@@ -188,20 +190,18 @@ TEST(IncrementalTiming, ReportSurvivesInterleavedInteriorQueries) {
                          "report after interior queries");
 }
 
-TEST(IncrementalTiming, QuantizedEngineIsPureFunctionOfTree) {
-    // With a coarse quantum the engine deviates from raw analyze() by
-    // design, but it must stay a pure function of the tree: a fresh
-    // engine over the same structure returns bit-identical numbers
-    // regardless of the edit/cache history (this is what makes
-    // parallel synthesis bit-for-bit equal to serial).
+TEST(IncrementalTiming, EngineIsPureFunctionOfTree) {
+    // The engine must stay a pure function of the tree: a fresh engine
+    // over the same structure returns bit-identical numbers regardless
+    // of the edit/cache history (this is what makes parallel synthesis
+    // bit-for-bit equal to serial).
     SynthesisResult res = synthesized_tree(32, 23);
-    const double quantum = 0.5;
-    EnginePair warm(res.tree, analytic(), quantum);
+    EnginePair warm(res.tree, analytic());
     std::mt19937 rng(4242);
     (void)warm.propagated.root_timing(res.root);
     for (int step = 0; step < 40; ++step) random_edit(res.tree, res.root, rng, warm);
 
-    IncrementalTiming fresh(res.tree, analytic(), {-1, 80.0, true, quantum});
+    IncrementalTiming fresh(res.tree, analytic(), {-1, 80.0, true});
     const RootTiming a = warm.propagated.root_timing(res.root);
     const RootTiming b = fresh.root_timing(res.root);
     EXPECT_EQ(a.max_ps, b.max_ps);
@@ -217,62 +217,78 @@ TEST(IncrementalTiming, QuantizedEngineIsPureFunctionOfTree) {
     }
 }
 
-TEST(IncrementalTiming, QuantizedTrimReTimesDirtyConeOnly) {
-    // The perf contract behind the tentpole: with a nonzero quantum, a
-    // small wire trim near the root must NOT re-evaluate the whole
-    // subtree -- downstream components whose quantized input slew is
-    // unchanged are served from cache.
+TEST(IncrementalTiming, LeafTrimReTimesDirtyConeOnly) {
+    // A wire trim near the leaves must NOT re-evaluate the whole tree:
+    // only the component holding the wire and the components below it
+    // see a changed input slew; every other component is served from
+    // cache (ancestors only recombine their aggregates).
     SynthesisResult res = synthesized_tree(64, 31);
-    IncrementalTiming engine(res.tree, analytic(), {-1, 80.0, true, 0.5});
+    IncrementalTiming engine(res.tree, analytic(), {-1, 80.0, true});
     (void)engine.root_timing(res.root);
     const std::uint64_t cold = engine.evaluated_components();
     ASSERT_GT(cold, 50u);  // the tree is nontrivial
 
-    // Nudge the wire under the root's first buffer child by a hair.
+    // The sink whose nearest buffer ancestor heads the smallest subtree.
     int knob = -1;
-    for (int c : res.tree.node(res.root).children)
-        if (!res.tree.node(c).children.empty()) knob = c;
+    std::size_t best = static_cast<std::size_t>(res.tree.size()) + 1;
+    for (int i = 0; i < res.tree.size(); ++i) {
+        if (res.tree.node(i).kind != NodeKind::sink || res.tree.node(i).parent < 0) continue;
+        int head = res.tree.node(i).parent;
+        while (res.tree.node(head).kind != NodeKind::buffer && res.tree.node(head).parent >= 0)
+            head = res.tree.node(head).parent;
+        const std::size_t size = res.tree.subtree(head).size();
+        if (size < best) {
+            best = size;
+            knob = i;
+        }
+    }
     ASSERT_GE(knob, 0);
     res.tree.node(knob).parent_wire_um += 1.0;
     engine.wire_changed(knob);
     (void)engine.root_timing(res.root);
     const std::uint64_t delta = engine.evaluated_components() - cold;
-    // A 1 um nudge shifts the end slew well under quantum/2, so only
-    // the containing component (plus at most a couple of downstream
-    // levels) re-evaluates -- not the O(cold) subtree.
+    EXPECT_GE(delta, 1u);
     EXPECT_LE(delta, cold / 4);
 }
 
-TEST(IncrementalTiming, ZeroQuantumSynthesisMatchesBatchRetimingBitForBit) {
+TEST(IncrementalTiming, EngineTimingMatchesBatchAfterEveryMerge) {
     // The invariant that proves every tree edit in merge_route /
-    // prebalance is notified to the engine: with an exact slew quantum
-    // the engine returns the same numbers as batch subtree_timing, so
-    // the whole synthesis must produce the IDENTICAL tree. A missed
-    // wire_changed/subtree_replaced call would serve stale timing and
-    // diverge here while every other suite stayed green.
-    SynthesisOptions batch;
-    batch.use_incremental_timing = false;
-    SynthesisOptions engine;
-    engine.use_incremental_timing = true;
-    engine.timing_slew_quantum_ps = 0.0;
-
+    // prebalance is notified to the engine: merging bottom-up through
+    // one long-lived engine, the engine's view of each new merge root
+    // (and the timing merge_route recorded from it) must match batch
+    // subtree_timing on the same tree. A missed wire_changed /
+    // subtree_replaced call serves stale timing and diverges here
+    // while every other suite stayed green.
+    const SynthesisOptions o;
     for (unsigned seed : {2u, 19u}) {
         const auto sinks = random_sinks(40, 22000.0, seed);
-        const SynthesisResult a = synthesize(sinks, analytic(), batch);
-        const SynthesisResult b = synthesize(sinks, analytic(), engine);
-        ASSERT_EQ(a.tree.size(), b.tree.size()) << "seed " << seed;
-        EXPECT_EQ(a.buffer_count, b.buffer_count) << "seed " << seed;
-        EXPECT_DOUBLE_EQ(a.wire_length_um, b.wire_length_um) << "seed " << seed;
-        EXPECT_DOUBLE_EQ(a.root_timing.max_ps, b.root_timing.max_ps) << "seed " << seed;
-        for (int i = 0; i < a.tree.size(); ++i) {
-            const TreeNode& na = a.tree.node(i);
-            const TreeNode& nb = b.tree.node(i);
-            ASSERT_EQ(na.kind, nb.kind) << "seed " << seed << " node " << i;
-            ASSERT_EQ(na.parent, nb.parent) << "seed " << seed << " node " << i;
-            ASSERT_EQ(na.buffer_type, nb.buffer_type) << "seed " << seed << " node " << i;
-            ASSERT_DOUBLE_EQ(na.parent_wire_um, nb.parent_wire_um)
-                << "seed " << seed << " node " << i;
+        ClockTree tree;
+        IncrementalTiming engine(tree, analytic(), synthesis_timing_options(o));
+        std::vector<int> roots;
+        std::unordered_map<int, RootTiming> timing;
+        for (const SinkSpec& s : sinks) {
+            roots.push_back(tree.add_sink(s.pos, s.cap_ff, s.name));
+            timing[roots.back()] = {0.0, 0.0};
         }
+        while (roots.size() > 1) {
+            std::vector<int> next;
+            for (std::size_t i = 0; i + 1 < roots.size(); i += 2) {
+                const int a = roots[i], b = roots[i + 1];
+                const MergeRecord rec =
+                    merge_route(tree, a, b, timing.at(a), timing.at(b), analytic(), o, engine);
+                const RootTiming batch = subtree_timing(tree, rec.merge_node, analytic(),
+                                                        o.assumed_slew(), /*propagate=*/true);
+                SCOPED_TRACE(testing::Message() << "seed " << seed << " merge "
+                                                << rec.merge_node);
+                EXPECT_NEAR(rec.timing.max_ps, batch.max_ps, kTol);
+                EXPECT_NEAR(rec.timing.min_ps, batch.min_ps, kTol);
+                timing[rec.merge_node] = rec.timing;
+                next.push_back(rec.merge_node);
+            }
+            if (roots.size() % 2 == 1) next.push_back(roots.back());
+            roots = std::move(next);
+        }
+        tree.validate_subtree(roots[0]);
     }
 }
 
@@ -303,7 +319,7 @@ TEST(IncrementalTiming, ArenaGrowthIsPickedUpLazily) {
     const int b = t.add_buffer({0, 0}, 1);
     const int s = t.add_sink({800, 0}, 12.0);
     t.connect(b, s, 800.0);
-    IncrementalTiming engine(t, analytic(), {-1, 80.0, true, 0.0});
+    IncrementalTiming engine(t, analytic(), {-1, 80.0, true});
     (void)engine.root_timing(b);
 
     const int top = t.add_buffer({0, 0}, 2);

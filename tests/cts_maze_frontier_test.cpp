@@ -1,12 +1,15 @@
-// Maze engine overhaul coverage: precomputed delay rows, the sparse
-// bucketed frontier, and the coarse-to-fine corridor route (see the
-// engine contracts at the top of maze.h).
+// Maze engine coverage: precomputed delay rows, the sparse bucketed
+// frontier against the dense reference sweep, and the coarse-to-fine
+// corridor route (see the engine contracts at the top of maze.h).
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "cts/maze_rows.h"
+#include "cts/memory_ladder.h"
 #include "cts/phase_profile.h"
 #include "cts_test_util.h"
+#include "util/memory_budget.h"
 
 namespace ctsim::cts {
 namespace {
@@ -62,57 +65,74 @@ void expect_valid(const MazeResult& r) {
     EXPECT_LE(r.side2.tail_um, lim * 1.05);
 }
 
+/// A run-local context whose memory ladder sits at the drop_c2f rung
+/// (unlimited budget, so nothing else degrades): routes through it
+/// take the plain full-grid path, exactly as a pressured run does.
+struct FullGridContext {
+    util::MemoryBudget budget{0};
+    MemoryLadder ladder{&budget};
+    SynthesisContext ctx;
+    FullGridContext() {
+        ladder.escalate_to(MemoryRung::drop_c2f);
+        ctx.memory_ladder = &ladder;
+    }
+};
+
 // --- precomputed rows -------------------------------------------------
 
-TEST(MazeDelayRows, RouteIsBitIdenticalWithRowsOnOrOff) {
+TEST(MazeDelayRows, EntriesAreBitIdenticalToEvalCacheLookups) {
     // The row fill goes through the EvalCache at the cache's own
-    // quantization, so enabling the rows must not move a single
-    // number (maze.h contract). Ring frontier on both sides so the
-    // only delta is the row lookup path.
+    // quantization, so reading a row must return exactly what the
+    // cache returns for the same length (maze.h contract) -- which is
+    // what lets the memory ladder drop the rows without moving a
+    // single routing decision. Compared against a private cache that
+    // never fed the rows.
     const auto& m = analytic();
-    for (const Instance& inst : random_instances(25, 7u)) {
-        SynthesisOptions with = base_opts();
-        with.maze_bucket_frontier = false;
-        with.maze_coarse_to_fine = false;
-        with.maze_delay_rows = true;
-        SynthesisOptions without = with;
-        without.maze_delay_rows = false;
-
-        const MazeResult r1 = maze_route(inst.a, inst.b, m, with);
-        const MazeResult r2 = maze_route(inst.a, inst.b, m, without);
-        EXPECT_EQ(r1.d1_ps, r2.d1_ps);
-        EXPECT_EQ(r1.d2_ps, r2.d2_ps);
-        EXPECT_TRUE(geom::almost_equal(r1.meet, r2.meet));
-        ASSERT_EQ(r1.side1.buffers.size(), r2.side1.buffers.size());
-        ASSERT_EQ(r1.side2.buffers.size(), r2.side2.buffers.size());
-        for (std::size_t k = 0; k < r1.side1.buffers.size(); ++k)
-            EXPECT_EQ(r1.side1.buffers[k].type, r2.side1.buffers[k].type);
-        EXPECT_EQ(r1.side1.tail_um, r2.side1.tail_um);
-        EXPECT_EQ(r1.side2.tail_um, r2.side2.tail_um);
+    const SynthesisOptions o = base_opts();
+    const DelayRows& rows = delay_rows_for(eval_cache_for(m, o));
+    delaylib::EvalCache::Config cfg;
+    cfg.model = &m;
+    cfg.assumed_slew_ps = o.assumed_slew();
+    cfg.target_slew_ps = o.slew_target_ps;
+    cfg.intelligent_sizing = o.intelligent_sizing;
+    delaylib::EvalCache ec(cfg);
+    ASSERT_EQ(rows.tmax, buflib().largest());
+    ASSERT_EQ(static_cast<int>(rows.rows.size()), buflib().count());
+    for (int l = 0; l < buflib().count(); ++l) {
+        EXPECT_EQ(rows.run_limit[l], maze_run_cap(ec, rows.tmax, l)) << "l=" << l;
+        const DelayRows::LoadRow& row = rows.rows[l];
+        ASSERT_GT(row.wire_delay.size(), 1u);
+        for (std::size_t i = 0; i < row.wire_delay.size(); ++i) {
+            const double len = static_cast<double>(i) * delaylib::EvalCache::kQuantumUm;
+            ASSERT_EQ(DelayRows::index_of(len), static_cast<int>(i));
+            EXPECT_EQ(row.wire_delay[i], ec.wire_delay(rows.tmax, l, len)) << l << "/" << i;
+            const auto t = ec.choose_buffer(l, len);
+            EXPECT_EQ(row.choice[i], t ? *t : -1) << l << "/" << i;
+            if (t) {
+                EXPECT_EQ(row.stage_delay[i], ec.stage_delay(*t, l, len)) << l << "/" << i;
+            }
+        }
     }
 }
 
 // --- bucketed frontier ------------------------------------------------
 
 TEST(MazeBucketFrontier, CostEquivalentToDenseSweep) {
-    // The dense reference (maze_early_exit = false) computes the exact
+    // The dense reference (maze_route_reference) computes the exact
     // DP optimum over the full grid. The bucketed frontier may stop
     // early, but its meet's delay difference must stay within the
     // stated band of the optimum: the early-exit tolerance plus the
-    // frontier bounds' monotonicity slack (see maze.h).
+    // frontier bounds' monotonicity slack (see maze.h). The bucket
+    // route runs on the full grid (drop_c2f rung) so the only delta
+    // is the expansion strategy.
     const auto& m = analytic();
     const double tol = kMazeMeetTolPs + 2.0 * kMazeMonoSlackPs;
+    FullGridContext full;
     for (const Instance& inst : random_instances(30, 11u)) {
-        SynthesisOptions dense = base_opts();
-        dense.maze_early_exit = false;
-
-        SynthesisOptions bucket = base_opts();
-        bucket.maze_bucket_frontier = true;
-        bucket.maze_coarse_to_fine = false;
-
-        const MazeResult rd = maze_route(inst.a, inst.b, m, dense);
-        const MazeResult rb = maze_route(inst.a, inst.b, m, bucket);
+        const MazeResult rd = maze_route_reference(inst.a, inst.b, m, base_opts());
+        const MazeResult rb = maze_route(inst.a, inst.b, m, base_opts(), &full.ctx);
         expect_valid(rb);
+        EXPECT_FALSE(rb.c2f_fallback);
         EXPECT_LE(std::abs(rb.d1_ps - rb.d2_ps), std::abs(rd.d1_ps - rd.d2_ps) + tol)
             << "a=(" << inst.a.pos.x << "," << inst.a.pos.y << ") d=" << inst.a.delay_max_ps
             << " b=(" << inst.b.pos.x << "," << inst.b.pos.y << ") d="
@@ -124,14 +144,10 @@ TEST(MazeBucketFrontier, CostEquivalentToDenseSweep) {
 
 TEST(MazeCoarseToFine, CostEquivalentToFullGridRoute) {
     const auto& m = analytic();
+    FullGridContext full;
     for (const Instance& inst : random_instances(30, 13u)) {
-        SynthesisOptions full = base_opts();
-        full.maze_coarse_to_fine = false;
-
-        const SynthesisOptions c2f = base_opts();  // shipped defaults
-
-        const MazeResult rf = maze_route(inst.a, inst.b, m, full);
-        const MazeResult rc = maze_route(inst.a, inst.b, m, c2f);
+        const MazeResult rf = maze_route(inst.a, inst.b, m, base_opts(), &full.ctx);
+        const MazeResult rc = maze_route(inst.a, inst.b, m, base_opts());  // shipped
         expect_valid(rc);
         // The corridor restricts candidates, so the c2f meet can be
         // somewhat worse in diff; the binary-search and rebalance

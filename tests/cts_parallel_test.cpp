@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "bench_io/synthetic.h"
 #include "cts_test_util.h"
 #include "util/cancel.h"
 
@@ -77,21 +78,6 @@ TEST(ParallelSynth, OddRootCountAndSeedPassthrough) {
     EXPECT_EQ(serial.tree.sinks_below(serial.root).size(), 17u);
 }
 
-TEST(ParallelSynth, BatchRetimingPathStaysIdenticalToSerial) {
-    // The batch re-timing branch (use_incremental_timing = false) is
-    // still live in shipped configurations -- any H-structure mode
-    // disables the engine while num_threads > 1 keeps routing merges
-    // through the pool -- so its bit-for-bit parallel determinism
-    // needs its own coverage now that the default path is incremental.
-    SynthesisOptions o = opts(3);
-    o.use_incremental_timing = false;
-    const auto sinks = random_sinks(36, 20000.0, 13);
-    SynthesisOptions serial_o = o;
-    serial_o.num_threads = 1;
-    expect_identical(synthesize(sinks, analytic(), serial_o),
-                     synthesize(sinks, analytic(), o));
-}
-
 TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
     // Every pipeline phase that can run over the executor -- merge
     // DAG alone, plus the refine sweep, plus the reclaim sweep -- at
@@ -125,19 +111,31 @@ TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
     }
 }
 
-TEST(ParallelSynth, LevelBarrierFallbackMatchesDagPipeline) {
-    // The PR 1 per-level barrier shape is kept as a benchable
-    // baseline (SynthesisOptions::level_barrier); it must produce the
-    // same tree as both the serial run and the default DAG pipeline.
-    const auto sinks = random_sinks(40, 21000.0, 19);
-    const auto serial = synthesize(sinks, analytic(), opts(1));
-    for (int threads : {2, 4}) {
-        SynthesisOptions o = opts(threads);
-        o.level_barrier = true;
-        SCOPED_TRACE("barrier threads=" + std::to_string(threads));
-        expect_identical(serial, synthesize(sinks, analytic(), o));
+TEST(ParallelSynth, HStructureModesMatchSerial) {
+    // H-structure re-pairings run serially on the shared tree before
+    // each level's DAG; under a pool they re-time through a fresh
+    // engine per check instead of the serial run's long-lived one, and
+    // engine purity must keep the trees identical. (Re-timing them
+    // with batch subtree_timing instead drifts by float ulps, which
+    // flips re-pairing decisions on this instance.)
+    bench_io::BenchmarkSpec spec;
+    spec.name = "scal_n200";
+    spec.sink_count = 200;
+    spec.die_span_um = 40000.0;
+    spec.seed = 11;
+    const auto sinks = bench_io::generate(spec);
+    for (HStructureMode mode : {HStructureMode::reestimate, HStructureMode::correct}) {
+        SynthesisOptions so = opts(1);
+        so.hstructure = mode;
+        const auto serial = synthesize(sinks, testutil::fitted_quick(), so);
+        for (int threads : {2, 3}) {
+            SynthesisOptions o = so;
+            o.num_threads = threads;
+            SCOPED_TRACE("hstructure " + std::to_string(static_cast<int>(mode)) +
+                         " threads=" + std::to_string(threads));
+            expect_identical(serial, synthesize(sinks, testutil::fitted_quick(), o));
+        }
     }
-    expect_identical(serial, synthesize(sinks, analytic(), opts(4)));
 }
 
 TEST(ParallelSynth, PostPassDeadlineCutsMatchSerial) {
@@ -148,8 +146,7 @@ TEST(ParallelSynth, PostPassDeadlineCutsMatchSerial) {
     // order-independent. Cuts landing past the merge phase hit the
     // refine lane's rank-ordered polls or reclaim's sweep-boundary
     // polls, so the degraded tree must be bit-identical to the serial
-    // run cut at the same count, at any width, in both pipeline
-    // shapes.
+    // run cut at the same count, at any width.
     const auto sinks = random_sinks(40, 21000.0, 11);
 
     util::CancelToken mprobe;
@@ -178,36 +175,17 @@ TEST(ParallelSynth, PostPassDeadlineCutsMatchSerial) {
         const auto serial = synthesize(sinks, analytic(), so);
         ASSERT_TRUE(serial.diagnostics.deadline_hit) << "n=" << n;
         for (int threads : {2, 3, 0}) {
-            for (bool barrier : {false, true}) {
-                util::CancelToken tok;
-                tok.trip_after(n);
-                SynthesisOptions o = opts(threads);
-                o.level_barrier = barrier;
-                o.cancel = &tok;
-                SCOPED_TRACE("cut n=" + std::to_string(n) + " threads=" +
-                             std::to_string(threads) + (barrier ? " barrier" : " dag"));
-                const auto par = synthesize(sinks, analytic(), o);
-                expect_identical(serial, par);
-                EXPECT_EQ(serial.diagnostics.deadline_hit, par.diagnostics.deadline_hit);
-                EXPECT_EQ(serial.diagnostics.degraded_at, par.diagnostics.degraded_at);
-            }
+            util::CancelToken tok;
+            tok.trip_after(n);
+            SynthesisOptions o = opts(threads);
+            o.cancel = &tok;
+            SCOPED_TRACE("cut n=" + std::to_string(n) + " threads=" + std::to_string(threads));
+            const auto par = synthesize(sinks, analytic(), o);
+            expect_identical(serial, par);
+            EXPECT_EQ(serial.diagnostics.deadline_hit, par.diagnostics.deadline_hit);
+            EXPECT_EQ(serial.diagnostics.degraded_at, par.diagnostics.degraded_at);
         }
     }
-}
-
-TEST(ParallelSynth, UnoptimizedFlagsStillWork) {
-    // The reference path (cache off, early exit off) must stay wired.
-    SynthesisOptions o = opts(2);
-    o.use_eval_cache = false;
-    o.maze_early_exit = false;
-    const auto sinks = random_sinks(12, 12000.0, 9);
-    const auto res = synthesize(sinks, analytic(), o);
-    res.tree.validate_subtree(res.root);
-    EXPECT_EQ(res.tree.sinks_below(res.root).size(), 12u);
-
-    SynthesisOptions serial_o = o;
-    serial_o.num_threads = 1;
-    expect_identical(res, synthesize(sinks, analytic(), serial_o));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Scenario API contracts (docs/scenarios.md): seed-deterministic
 // yield curves, zero-variation Monte-Carlo reproducing nominal
-// bit-for-bit, thread-count invariance of the sample fan-out, a
-// monotone pareto frontier, and the serve-side whitelist for the
-// scenario request object.
+// bit-for-bit, thread-count invariance of the sample fan-out, and the
+// serve-side whitelist for the scenario request object.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -144,33 +143,6 @@ TEST(ScenarioTest, CornersRunsAllEightSignCombinations) {
                 << i << " vs " << j;
 }
 
-TEST(ScenarioTest, ParetoFrontierIsMonotone) {
-    const auto sinks = sinks_small();
-    cts::ScenarioSpec spec;
-    spec.mode = cts::ScenarioMode::pareto_sweep;
-    spec.pareto_tols = {0.0, 0.5, 1.0, 2.0, 4.0};
-    const cts::ScenarioResult r =
-        cts::run_scenario(sinks, testutil::fitted_quick(), {}, spec);
-    ASSERT_EQ(r.pareto.size(), spec.pareto_tols.size());
-    for (std::size_t i = 0; i < r.pareto.size(); ++i)
-        EXPECT_EQ(r.pareto[i].reclaim_tol_ps, spec.pareto_tols[i]) << i;
-
-    // The non-dominated subset, sorted by skew, must have strictly
-    // decreasing wirelength -- otherwise a point on it is dominated.
-    std::vector<cts::ParetoPoint> frontier;
-    for (const cts::ParetoPoint& p : r.pareto)
-        if (p.on_frontier) frontier.push_back(p);
-    ASSERT_FALSE(frontier.empty());
-    std::sort(frontier.begin(), frontier.end(),
-              [](const cts::ParetoPoint& a, const cts::ParetoPoint& b) {
-                  return a.skew_ps < b.skew_ps;
-              });
-    for (std::size_t i = 1; i < frontier.size(); ++i) {
-        EXPECT_GT(frontier[i].skew_ps, frontier[i - 1].skew_ps) << i;
-        EXPECT_LT(frontier[i].wirelength_um, frontier[i - 1].wirelength_um) << i;
-    }
-}
-
 TEST(ScenarioTest, InvalidSpecsAreRejected) {
     const auto sinks = sinks_small();
     const auto expect_invalid = [&](const cts::ScenarioSpec& spec) {
@@ -192,10 +164,6 @@ TEST(ScenarioTest, InvalidSpecsAreRejected) {
     expect_invalid(spec);
     spec = mc_spec();
     spec.skew_target_ps = -1.0;
-    expect_invalid(spec);
-    spec.mode = cts::ScenarioMode::pareto_sweep;
-    spec.skew_target_ps = 10.0;
-    spec.pareto_tols = {-0.5};
     expect_invalid(spec);
 }
 

@@ -54,9 +54,8 @@ TEST(SkewRefine, NeverWorsensModelSkewAndTerminates) {
 
 TEST(SkewRefine, RefinedTreeMatchesBatchAnalyzeToFloatAssociativity) {
     // Every refinement edit (trim, buffer swap, snake) must be
-    // notified to the engine: with an exact slew quantum the engine's
-    // report on the refined tree matches batch analyze() on every
-    // sink. A missed notification serves stale timing and diverges
+    // notified to the engine: the engine's report on the refined tree
+    // matches batch analyze() on every sink. A missed notification serves stale timing and diverges
     // here.
     for (unsigned seed : {5u, 23u}) {
         SynthesisOptions o;
@@ -64,9 +63,7 @@ TEST(SkewRefine, RefinedTreeMatchesBatchAnalyzeToFloatAssociativity) {
         const auto sinks = random_sinks(40, 26000.0, seed);
         SynthesisResult res = synthesize(sinks, analytic(), o);
 
-        IncrementalTiming::Options eopt = synthesis_timing_options(o);
-        eopt.slew_quantum_ps = 0.0;  // exact: batch-comparable
-        IncrementalTiming engine(res.tree, analytic(), eopt);
+        IncrementalTiming engine(res.tree, analytic(), synthesis_timing_options(o));
         (void)refine_skew(res.tree, res.root, analytic(), o, engine);
 
         TimingOptions topt;

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "cts/incremental_timing.h"
 #include "cts_test_util.h"
 #include "sim/netlist_sim.h"
 
@@ -26,7 +27,8 @@ TEST(MergeRouting, TwoSinksProduceValidBalancedSubtree) {
     ClockTree t;
     const int a = t.add_sink({0, 0}, 12.0);
     const int b = t.add_sink({3000, 1000}, 12.0);
-    const MergeRecord rec = merge_route(t, a, b, {0, 0}, {0, 0}, m, opts());
+    IncrementalTiming engine(t, m, synthesis_timing_options(opts()));
+    const MergeRecord rec = merge_route(t, a, b, {0, 0}, {0, 0}, m, opts(), engine);
 
     t.validate_subtree(rec.merge_node);
     EXPECT_EQ(t.sinks_below(rec.merge_node).size(), 2u);
@@ -48,8 +50,8 @@ TEST(MergeRouting, ImbalancedSubtreesTriggerSnaking) {
     const RootTiming ta = subtree_timing(t, deep.new_root, m, 80.0);
     ASSERT_GT(ta.max_ps, 300.0);
 
-    const MergeRecord rec =
-        merge_route(t, deep.new_root, b, ta, {0, 0}, m, opts());
+    IncrementalTiming engine(t, m, synthesis_timing_options(opts()));
+    const MergeRecord rec = merge_route(t, deep.new_root, b, ta, {0, 0}, m, opts(), engine);
     EXPECT_GT(rec.snake_stages, 0);  // side b must be snaked to catch up
     t.validate_subtree(rec.merge_node);
     EXPECT_GT(rec.timing.max_ps, ta.max_ps - 1.0);
@@ -64,10 +66,11 @@ TEST(MergeRouting, MergeOfEqualSubtreesKeepsSkewZeroish) {
     const int b = t.add_sink({2000, 0}, 12.0);
     const int c = t.add_sink({0, 2000}, 12.0);
     const int d = t.add_sink({2000, 2000}, 12.0);
-    const MergeRecord m1 = merge_route(t, a, b, {0, 0}, {0, 0}, m, opts());
-    const MergeRecord m2 = merge_route(t, c, d, {0, 0}, {0, 0}, m, opts());
+    IncrementalTiming engine(t, m, synthesis_timing_options(opts()));
+    const MergeRecord m1 = merge_route(t, a, b, {0, 0}, {0, 0}, m, opts(), engine);
+    const MergeRecord m2 = merge_route(t, c, d, {0, 0}, {0, 0}, m, opts(), engine);
     const MergeRecord top = merge_route(t, m1.merge_node, m2.merge_node, m1.timing, m2.timing,
-                                        m, opts());
+                                        m, opts(), engine);
     t.validate_subtree(top.merge_node);
     EXPECT_EQ(t.sinks_below(top.merge_node).size(), 4u);
     EXPECT_LT(top.timing.max_ps - top.timing.min_ps, 15.0);

@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
+#include "bench_io/synthetic.h"
 #include "cts/balance.h"
 #include "cts/incremental_timing.h"
 #include "cts/wire_reclaim.h"
@@ -94,7 +96,7 @@ TEST(WireReclaim, NeverWorsensSkewBeyondTolAndNeverAddsWire) {
             res.tree.validate_subtree(res.root);
             const double skew_after = honest_skew(res.tree, res.root, o.assumed_slew());
             // The verified budget is the ENGINE skew; the honest batch
-            // skew agrees to float noise (exact default quantum).
+            // skew agrees to float noise.
             EXPECT_LE(skew_after, skew_before + o.wire_reclaim_skew_tol_ps + 1e-6)
                 << "reclamation worsened the honest skew beyond its verified budget: "
                 << skew_before << " -> " << skew_after;
@@ -110,9 +112,9 @@ TEST(WireReclaim, NeverWorsensSkewBeyondTolAndNeverAddsWire) {
 
 TEST(WireReclaim, EngineStaysConsistentWithBatchAnalyzeThroughEditsAndRollbacks) {
     // Every reclamation edit (trim, ballast removal) and every
-    // rollback's inverse must be notified to the engine: with the
-    // exact slew quantum the engine's report on the final tree must
-    // match batch analyze() on every sink. A missed notification
+    // rollback's inverse must be notified to the engine: the engine's
+    // report on the final tree must match batch analyze() on every
+    // sink. A missed notification
     // serves stale timing and diverges here. A tiny tolerance forces
     // the rollback path to run too.
     for (unsigned seed : {5u, 23u}) {
@@ -124,9 +126,7 @@ TEST(WireReclaim, EngineStaysConsistentWithBatchAnalyzeThroughEditsAndRollbacks)
         for (double tol : {0.5, 0.0}) {
             SynthesisOptions ro = o;
             ro.wire_reclaim_skew_tol_ps = tol;
-            IncrementalTiming::Options eopt = synthesis_timing_options(o);
-            eopt.slew_quantum_ps = 0.0;  // exact: batch-comparable
-            IncrementalTiming engine(res.tree, analytic(), eopt);
+            IncrementalTiming engine(res.tree, analytic(), synthesis_timing_options(o));
             (void)reclaim_wire(res.tree, res.root, analytic(), ro, engine);
             SCOPED_TRACE(testing::Message() << "seed " << seed << " tol " << tol);
             expect_engine_matches_batch(res.tree, res.root, engine, o.assumed_slew());
@@ -148,9 +148,7 @@ TEST(WireReclaim, JournalUndoRestoresTreeAndEngineExactly) {
     ClockTree& tree = res.tree;
     const TreeShape before = snapshot(tree);
 
-    IncrementalTiming::Options eopt = synthesis_timing_options(o);
-    eopt.slew_quantum_ps = 0.0;
-    IncrementalTiming engine(tree, analytic(), eopt);
+    IncrementalTiming engine(tree, analytic(), synthesis_timing_options(o));
     (void)engine.report(res.root);  // populate caches pre-edit
 
     // A ballast stage: a buffer whose single child sits at the same
@@ -194,7 +192,7 @@ TEST(WireReclaim, JournalUndoRestoresTreeAndEngineExactly) {
     expect_engine_matches_batch(tree, res.root, engine, o.assumed_slew());
 
     // ...and the undo must restore everything exactly.
-    journal.undo(tree, &engine);
+    journal.undo(tree, engine);
     EXPECT_TRUE(journal.empty());
     expect_same_shape(tree, before);
     tree.validate_subtree(res.root);
@@ -237,6 +235,28 @@ TEST(WireReclaim, DefaultSynthesisRunsThePassAndSkipsItWhenOff) {
     EXPECT_NEAR(a.wire_length_um, a.reclaim.final_wirelength_um, 1e-6);
     // The reported root timing reflects the reclaimed tree.
     EXPECT_NEAR(a.root_timing.max_ps - a.root_timing.min_ps, a.reclaim.final_skew_ps, 1e-9);
+}
+
+TEST(WireReclaim, NeverAddsWirelengthOnComplexityScalingInstances) {
+    // The scal_n100/n200/n400 instances of bench_synth_json (same
+    // generator and seeds) on the fitted library: the shipped pass
+    // runs strictly after synthesis and refinement, so its own
+    // pre-pass measurement is the wirelength this flow produces with
+    // the pass off, and the final tree must never exceed it.
+    for (int n : {100, 200, 400}) {
+        bench_io::BenchmarkSpec spec;
+        spec.name = "scal_n" + std::to_string(n);
+        spec.sink_count = n;
+        spec.die_span_um = 40000.0;
+        spec.seed = 11;
+        const SynthesisResult res =
+            synthesize(bench_io::generate(spec), testutil::fitted_quick(), SynthesisOptions{});
+        SCOPED_TRACE(spec.name);
+        EXPECT_GT(res.refine.merges_visited, 0);
+        EXPECT_GT(res.reclaim.initial_wirelength_um, 0.0);
+        EXPECT_LE(res.wire_length_um, res.reclaim.initial_wirelength_um + 1e-6)
+            << "wire_reclaim ADDED wirelength";
+    }
 }
 
 TEST(WireReclaim, SubtreeInvocationStaysConservative) {

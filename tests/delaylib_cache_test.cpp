@@ -12,20 +12,18 @@ namespace {
 using testutil::analytic;
 using testutil::buflib;
 
-EvalCache::Config config(const DelayModel& m, double quantum, bool enabled = true) {
+EvalCache::Config config(const DelayModel& m, double assumed_slew_ps = 80.0) {
     EvalCache::Config cfg;
     cfg.model = &m;
-    cfg.assumed_slew_ps = 80.0;
+    cfg.assumed_slew_ps = assumed_slew_ps;
     cfg.target_slew_ps = 80.0;
-    cfg.quantum_um = quantum;
     cfg.intelligent_sizing = true;
-    cfg.enabled = enabled;
     return cfg;
 }
 
 TEST(EvalCache, HitEqualsUncachedValueAtQuantizedLength) {
     const auto& m = analytic();
-    EvalCache ec(config(m, 2.0));
+    EvalCache ec(config(m));
     for (int d = 0; d < buflib().count(); ++d) {
         for (int l = 0; l < buflib().count(); ++l) {
             for (double len : {0.0, 13.7, 101.3, 757.9, 1500.2, 3333.3}) {
@@ -46,7 +44,7 @@ TEST(EvalCache, HitEqualsUncachedValueAtQuantizedLength) {
 
 TEST(EvalCache, QuantizationErrorBounded) {
     const auto& m = analytic();
-    EvalCache ec(config(m, 2.0));
+    EvalCache ec(config(m));
     // Quantization moves the query by at most quantum/2; the induced
     // delay/slew error is bounded by that times the local slope, well
     // under half a ps for all library pairs.
@@ -63,19 +61,9 @@ TEST(EvalCache, QuantizationErrorBounded) {
     }
 }
 
-TEST(EvalCache, DisabledCacheIsExactPassThrough) {
-    const auto& m = analytic();
-    EvalCache ec(config(m, 2.0, /*enabled=*/false));
-    for (double len : {3.1, 999.9, 2500.7}) {
-        EXPECT_DOUBLE_EQ(ec.quantize(len), len);
-        EXPECT_DOUBLE_EQ(ec.wire_delay(2, 0, len), m.wire_delay(2, 0, 80.0, len));
-        EXPECT_DOUBLE_EQ(ec.wire_slew(1, 1, len), m.wire_slew(1, 1, 80.0, len));
-    }
-}
-
 TEST(EvalCache, FeasibleRunMatchesRouterBisection) {
     const auto& m = analytic();
-    EvalCache ec(config(m, 2.0));
+    EvalCache ec(config(m));
     for (int d = 0; d < buflib().count(); ++d) {
         for (int l = 0; l < buflib().count(); ++l) {
             const double direct = cts::max_feasible_run(m, d, l, 80.0, 80.0, 1e9);
@@ -88,7 +76,7 @@ TEST(EvalCache, FeasibleRunMatchesRouterBisection) {
 
 TEST(EvalCache, ChooseBufferMatchesDirectAtQuantizedRun) {
     const auto& m = analytic();
-    EvalCache ec(config(m, 2.0));
+    EvalCache ec(config(m));
     for (int l = 0; l < buflib().count(); ++l) {
         for (double run = 10.0; run < 3500.0; run += 133.7) {
             const auto cached = ec.choose_buffer(l, run);
@@ -104,19 +92,19 @@ TEST(EvalCache, ChooseBufferMatchesDirectAtQuantizedRun) {
 
 TEST(EvalCache, ReconfigureFlushesAndRebinds) {
     const auto& m = analytic();
-    EvalCache ec(config(m, 2.0));
+    EvalCache ec(config(m));
     (void)ec.wire_delay(0, 0, 100.0);
     EXPECT_GT(ec.stats().misses, 0u);
     // Same config: entries survive.
-    ec.configure(config(m, 2.0));
+    ec.configure(config(m));
     const auto misses = ec.stats().misses;
     (void)ec.wire_delay(0, 0, 100.0);
     EXPECT_EQ(ec.stats().misses, misses);
-    // New quantum: cache flushed, stats reset.
-    ec.configure(config(m, 4.0));
+    // New assumed slew: cache flushed, stats reset, values rebound.
+    ec.configure(config(m, 60.0));
     EXPECT_EQ(ec.stats().hits, 0u);
     EXPECT_EQ(ec.stats().misses, 0u);
-    EXPECT_DOUBLE_EQ(ec.quantize(101.0), 100.0);
+    EXPECT_DOUBLE_EQ(ec.wire_delay(0, 0, 100.0), m.wire_delay(0, 0, 60.0, 100.0));
 }
 
 }  // namespace

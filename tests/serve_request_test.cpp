@@ -152,6 +152,29 @@ TEST(ServeRequestTest, NumThreadsIsNotATenantKnob) {
     expect_invalid(R"({"bench":"r1","options":{"num_threads":8}})");
 }
 
+TEST(ServeRequestTest, RemovedKnobsGetTheTypedUnknownKeyErrors) {
+    // The slew quantum and the pareto sweep were removed from the
+    // wire without a compat shim: old clients get the same typed
+    // invalid_input as any other unknown key or mode.
+    const auto expect_message = [](const std::string& line, const std::string& want) {
+        try {
+            serve::parse_request(line);
+            FAIL() << "expected invalid_input for: " << line;
+        } catch (const util::Error& e) {
+            EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input) << line;
+            EXPECT_NE(e.status().message().find(want), std::string::npos)
+                << e.status().message();
+        }
+    };
+    expect_message(R"({"bench":"r1","options":{"timing_slew_quantum_ps":0.25}})",
+                   "unknown options key \"timing_slew_quantum_ps\"");
+    const std::string head =
+        R"({"type":"scenario","schema_version":2,"synthetic":{"sinks":20},"scenario":)";
+    expect_message(head + R"({"mode":"pareto_sweep"}})", "scenario.mode must be");
+    expect_message(head + R"({"mode":"nominal","pareto_tols":[0.5]}})",
+                   "unknown scenario key \"pareto_tols\"");
+}
+
 TEST(ServeRequestTest, SchemaVersioning) {
     // Absent means version 1; declared 1 and 2 are accepted verbatim.
     EXPECT_EQ(serve::parse_request(R"({"bench":"r1"})").schema_version, 1);

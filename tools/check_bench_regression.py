@@ -8,9 +8,11 @@ thresholds:
   * wall-clock: > 15% on any mode's NORMALIZED time. Raw seconds are
     not comparable across machines (the committed baseline comes from
     a different box than the CI runner), so each mode's seconds are
-    divided by the same instance's `seed` seconds first -- the seed
-    mode is the fixed pre-overhaul algorithm and serves as the
-    machine-speed yardstick.
+    divided by the same file's top-level `calibration_s` first -- the
+    time of a fixed CPU kernel in the harness that calls nothing in
+    the library, so the yardstick cannot move with the code. A fresh
+    file without a positive calibration_s is a usage error; a
+    baseline without one skips the wall-clock checks with a note.
   * wirelength: > 3% on any mode (solution quality; machine
     independent, so compared raw).
   * peak RSS: > 25% on an instance's `peak_rss_mb` high-water (the
@@ -18,14 +20,12 @@ thresholds:
     machine-sensitive than wall-clock). Baselines written before the
     column existed are tolerated: the missing column is flagged with a
     note and the check skipped, never counted as a pass.
-  * refined skew: the refine* and reclaim* modes carry the top-down
-    skew-refinement clamp (the reclaim modes additionally the
-    engine-verified wirelength reclamation, whose batches are rolled
-    back beyond a skew budget), and the whole point of both passes is
-    a stable skew band; any instance whose skew in those modes
-    exceeds the committed baseline's by more than SKEW_SLACK_PS fails
-    (machine independent, compared raw; other modes stay ungated --
-    their skews are decision-chaotic by design).
+  * refined skew: every mode is the shipped default, which carries
+    the top-down skew-refinement clamp and the engine-verified
+    wirelength reclamation (whose batches are rolled back beyond a
+    skew budget); any instance whose skew exceeds the committed
+    baseline's by more than SKEW_SLACK_PS fails (machine independent,
+    compared raw).
 
 Instances or modes present in only one file are reported and skipped
 (the guard must not block adding instances/modes). Per-instance
@@ -87,6 +87,15 @@ RSS_REGRESSION = 1.25
 
 def by_name(doc):
     return {inst["name"]: inst for inst in doc.get("instances", [])}
+
+
+def calibration(doc):
+    """The file's calibration-kernel seconds, or None when absent or
+    not a positive number."""
+    c = doc.get("calibration_s") if isinstance(doc, dict) else None
+    if isinstance(c, (int, float)) and not isinstance(c, bool) and c > 0:
+        return float(c)
+    return None
 
 
 def mode_keys(inst):
@@ -234,13 +243,24 @@ def main():
         print(__doc__)
         return 2
     try:
-        fresh = by_name(json.load(open(sys.argv[1])))
-        base = by_name(json.load(open(sys.argv[2])))
+        fresh_doc = json.load(open(sys.argv[1]))
+        base_doc = json.load(open(sys.argv[2]))
+        fresh, base = by_name(fresh_doc), by_name(base_doc)
     except (OSError, ValueError) as exc:
         # A malformed or missing input must fail loudly as a usage
         # error (exit 2), not masquerade as a pass/regression verdict.
         print(f"error: cannot load benchmark JSON: {exc}")
         return 2
+    fcal = calibration(fresh_doc)
+    if fcal is None:
+        # The harness that just ran writes the yardstick; without it
+        # no wall-clock verdict is possible.
+        print("error: fresh benchmark JSON has no positive calibration_s")
+        return 2
+    bcal = calibration(base_doc)
+    if bcal is None:
+        print("note: baseline has no calibration_s (written before the "
+              "calibration kernel); wall-clock checks skipped")
 
     failures = []
     checked = 0
@@ -260,8 +280,6 @@ def main():
         if f is None:
             print(f"note: instance {name} missing from fresh run, skipped")
             continue
-        fseed = f.get("seed", {}).get("seconds", 0.0)
-        bseed = b.get("seed", {}).get("seconds", 0.0)
 
         # Peak-RSS gate. Old baselines predate the column: tolerate
         # them with a visible note (so the skip can be audited) and
@@ -303,22 +321,21 @@ def main():
                     f"(+{100.0 * (fw / bw - 1.0):.1f}% > "
                     f"{100.0 * (WIRELENGTH_REGRESSION - 1.0):.0f}%)")
 
-            if mode.startswith(("refine", "reclaim")):
-                fs, bs = fm.get("skew_ps", 0.0), bm.get("skew_ps", 0.0)
-                if fs > bs + SKEW_SLACK_PS:
-                    failures.append(
-                        f"{name}/{mode}: refined skew {bs:.2f} -> {fs:.2f} ps "
-                        f"(> baseline + {SKEW_SLACK_PS:.0f} ps; the refinement "
-                        f"clamp regressed)")
+            fs, bs = fm.get("skew_ps", 0.0), bm.get("skew_ps", 0.0)
+            if fs > bs + SKEW_SLACK_PS:
+                failures.append(
+                    f"{name}/{mode}: refined skew {bs:.2f} -> {fs:.2f} ps "
+                    f"(> baseline + {SKEW_SLACK_PS:.0f} ps; the refinement "
+                    f"clamp regressed)")
 
-            if mode == "seed" or bseed <= 0 or fseed <= 0:
-                continue  # seed IS the yardstick
+            if bcal is None:
+                continue
             if "seconds" not in fm:
                 print(f"warning: {name}/{mode} missing seconds in fresh run; "
                       f"wall-clock check skipped")
                 continue
-            fnorm = fm["seconds"] / fseed
-            bnorm = bm["seconds"] / bseed
+            fnorm = fm["seconds"] / fcal
+            bnorm = bm["seconds"] / bcal
             a = agg.setdefault(mode, [0.0, 0.0])
             a[0] += fnorm
             a[1] += bnorm
@@ -327,7 +344,7 @@ def main():
             if fnorm > bnorm * TIME_REGRESSION:
                 failures.append(
                     f"{name}/{mode}: normalized wall-clock {bnorm:.3f} -> {fnorm:.3f} "
-                    f"(x seed; +{100.0 * (fnorm / bnorm - 1.0):.1f}% > "
+                    f"(x calibration; +{100.0 * (fnorm / bnorm - 1.0):.1f}% > "
                     f"{100.0 * (TIME_REGRESSION - 1.0):.0f}%)")
 
     for mode, (fsum, bsum) in sorted(agg.items()):

@@ -11,7 +11,8 @@
 // Exit status (docs/robustness.md):
 //   0  verified tree within the slew limit
 //   1  tree synthesized but the verified worst slew exceeds the limit
-//   2  usage error (bad flag, missing file, unknown benchmark)
+//   2  usage error (bad flag or flag value, missing file, unknown
+//      benchmark)
 //   3  invalid input (malformed benchmark file, bad sink list)
 //   4  infeasible routing instance
 //   5  delay-library cache corruption (only if re-characterization
@@ -20,6 +21,9 @@
 //   7  deadline exceeded with no usable result
 //  10  internal error
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -71,14 +75,13 @@ void usage() {
         "  --spice FILE        export the verified netlist as a SPICE deck\n"
         "  --quiet             only print the summary line\n"
         "scenario analysis (docs/scenarios.md; replaces the verify/SPICE path):\n"
-        "  --scenario MODE     nominal | corners | monte_carlo | pareto_sweep\n"
+        "  --scenario MODE     nominal | corners | monte_carlo\n"
         "  --samples N         monte_carlo sample count (default 64)\n"
         "  --scenario-seed K   variation seed (default 1); same seed, same curve\n"
         "  --wire-r-pct P      wire resistance variation half-range %% (default 5)\n"
         "  --wire-c-pct P      wire capacitance variation half-range %% (default 5)\n"
         "  --buffer-drive-pct P  buffer drive variation half-range %% (default 5)\n"
         "  --yield-target-ps PS  skew target for the reported yield (default 10)\n"
-        "  --pareto-tols A,B,..  reclaim tolerances swept by pareto_sweep\n"
         "  --scenario-threads N  sample fan-out threads (0 = hardware; default 1)\n");
 }
 
@@ -97,6 +100,33 @@ int exit_code_for(ctsim::util::StatusCode c) {
     return 10;
 }
 
+/// Usage errors exit 2 before anything is loaded, so a typo'd flag
+/// value can never silently run the defaults.
+[[noreturn]] void usage_error(const std::string& flag, const char* value,
+                              const char* expected) {
+    std::fprintf(stderr, "invalid value '%s' for %s (expected %s)\n", value, flag.c_str(),
+                 expected);
+    std::exit(2);
+}
+
+double number_arg(const std::string& flag, const char* s) {
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+        usage_error(flag, s, "a finite number");
+    return v;
+}
+
+long integer_arg(const std::string& flag, const char* s, long lo, long hi) {
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE || v < lo || v > hi)
+        usage_error(flag, s, "an integer in range");
+    return v;
+}
+
 [[noreturn]] void die(const ctsim::util::Error& e) {
     std::fprintf(stderr, "ctsim_cli: error: %s\n", e.status().to_string().c_str());
     std::exit(exit_code_for(e.status().code()));
@@ -110,7 +140,7 @@ int main(int argc, char** argv) {
     std::string library_path = "ctsim_delaylib_45nm.cache";
     cts::SynthesisOptions opt;
     bool quiet = false;
-    std::string scenario_mode;
+    bool scenario_requested = false;
     cts::ScenarioSpec scenario;
 
     for (int i = 1; i < argc; ++i) {
@@ -125,56 +155,52 @@ int main(int argc, char** argv) {
         if (a == "--bench") bench_name = next();
         else if (a == "--gsrc") gsrc_file = next();
         else if (a == "--ispd") ispd_file = next();
-        else if (a == "--slew-limit") opt.slew_limit_ps = std::atof(next());
-        else if (a == "--slew") opt.slew_target_ps = std::atof(next());
-        else if (a == "--grid") opt.grid_cells_per_dim = std::atoi(next());
-        else if (a == "--deadline-ms") opt.deadline_ms = std::atof(next());
-        else if (a == "--memory-budget-mb") opt.memory_budget_mb = std::atof(next());
+        else if (a == "--slew-limit") opt.slew_limit_ps = number_arg(a, next());
+        else if (a == "--slew") opt.slew_target_ps = number_arg(a, next());
+        else if (a == "--grid")
+            opt.grid_cells_per_dim = static_cast<int>(integer_arg(a, next(), 1, INT_MAX));
+        else if (a == "--deadline-ms") opt.deadline_ms = number_arg(a, next());
+        else if (a == "--memory-budget-mb") opt.memory_budget_mb = number_arg(a, next());
         else if (a == "--checkpoint-dir") checkpoint_dir = next();
         else if (a == "--library") library_path = next();
         else if (a == "--cache-dir") setenv("CTSIM_CACHE_DIR", next(), 1);
         else if (a == "--spice") spice_file = next();
         else if (a == "--quiet") quiet = true;
-        else if (a == "--scenario") scenario_mode = next();
-        else if (a == "--samples") scenario.samples = std::atoi(next());
-        else if (a == "--scenario-seed")
-            scenario.variation.seed = static_cast<unsigned>(std::strtoul(next(), nullptr, 10));
-        else if (a == "--wire-r-pct") scenario.variation.wire_r_pct = std::atof(next());
-        else if (a == "--wire-c-pct") scenario.variation.wire_c_pct = std::atof(next());
-        else if (a == "--buffer-drive-pct")
-            scenario.variation.buffer_drive_pct = std::atof(next());
-        else if (a == "--yield-target-ps") scenario.skew_target_ps = std::atof(next());
-        else if (a == "--scenario-threads") scenario.num_threads = std::atoi(next());
-        else if (a == "--pareto-tols") {
-            scenario.pareto_tols.clear();
-            const std::string list = next();
-            std::size_t pos = 0;
-            while (pos <= list.size()) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok =
-                    list.substr(pos, comma == std::string::npos ? comma : comma - pos);
-                if (!tok.empty()) scenario.pareto_tols.push_back(std::atof(tok.c_str()));
-                if (comma == std::string::npos) break;
-                pos = comma + 1;
-            }
+        else if (a == "--scenario") {
+            const std::string m = next();
+            scenario_requested = true;
+            if (m == "nominal") scenario.mode = cts::ScenarioMode::nominal;
+            else if (m == "corners") scenario.mode = cts::ScenarioMode::corners;
+            else if (m == "monte_carlo") scenario.mode = cts::ScenarioMode::monte_carlo;
+            else usage_error(a, m.c_str(), "nominal | corners | monte_carlo");
         }
+        else if (a == "--samples")
+            scenario.samples = static_cast<int>(integer_arg(a, next(), INT_MIN, INT_MAX));
+        else if (a == "--scenario-seed")
+            scenario.variation.seed = static_cast<unsigned>(integer_arg(a, next(), 0, UINT_MAX));
+        else if (a == "--wire-r-pct") scenario.variation.wire_r_pct = number_arg(a, next());
+        else if (a == "--wire-c-pct") scenario.variation.wire_c_pct = number_arg(a, next());
+        else if (a == "--buffer-drive-pct")
+            scenario.variation.buffer_drive_pct = number_arg(a, next());
+        else if (a == "--yield-target-ps") scenario.skew_target_ps = number_arg(a, next());
+        else if (a == "--scenario-threads")
+            scenario.num_threads = static_cast<int>(integer_arg(a, next(), INT_MIN, INT_MAX));
         else if (a == "--hstructure") {
             const std::string m = next();
             if (m == "off") opt.hstructure = cts::HStructureMode::off;
             else if (m == "reestimate") opt.hstructure = cts::HStructureMode::reestimate;
             else if (m == "correct") opt.hstructure = cts::HStructureMode::correct;
-            else {
-                std::fprintf(stderr, "unknown hstructure mode '%s'\n", m.c_str());
-                return 2;
-            }
+            else usage_error(a, m.c_str(), "off | reestimate | correct");
         } else if (a == "--seed-policy") {
             const std::string p = next();
-            opt.seed_policy = p == "random" ? cts::SeedPolicy::random
-                                            : cts::SeedPolicy::max_latency;
+            if (p == "max-latency") opt.seed_policy = cts::SeedPolicy::max_latency;
+            else if (p == "random") opt.seed_policy = cts::SeedPolicy::random;
+            else usage_error(a, p.c_str(), "max-latency | random");
         } else if (a == "--matching") {
             const std::string p = next();
-            opt.matching = p == "path-growing" ? cts::MatchingPolicy::path_growing
-                                               : cts::MatchingPolicy::greedy_centroid;
+            if (p == "greedy") opt.matching = cts::MatchingPolicy::greedy_centroid;
+            else if (p == "path-growing") opt.matching = cts::MatchingPolicy::path_growing;
+            else usage_error(a, p.c_str(), "greedy | path-growing");
         } else if (a == "--help" || a == "-h") {
             usage();
             return 0;
@@ -239,17 +265,7 @@ int main(int argc, char** argv) {
         std::printf("%s: %zu sinks, slew target %.0f ps (limit %.0f ps)\n", label.c_str(),
                     sinks.size(), opt.slew_target_ps, opt.slew_limit_ps);
 
-    if (!scenario_mode.empty()) {
-        if (scenario_mode == "nominal") scenario.mode = cts::ScenarioMode::nominal;
-        else if (scenario_mode == "corners") scenario.mode = cts::ScenarioMode::corners;
-        else if (scenario_mode == "monte_carlo")
-            scenario.mode = cts::ScenarioMode::monte_carlo;
-        else if (scenario_mode == "pareto_sweep")
-            scenario.mode = cts::ScenarioMode::pareto_sweep;
-        else {
-            std::fprintf(stderr, "unknown scenario mode '%s'\n", scenario_mode.c_str());
-            return 2;
-        }
+    if (scenario_requested) {
         cts::ScenarioResult sr;
         try {
             sr = cts::run_scenario(sinks, *model, opt, scenario);
@@ -274,10 +290,6 @@ int main(int argc, char** argv) {
             std::printf("skew quantiles: p50=%.3fps p90=%.3fps p100=%.3fps\n", at(0.50),
                         at(0.90), c.back());
         }
-        for (const cts::ParetoPoint& p : sr.pareto)
-            std::printf("pareto tol=%.2fps skew=%.3fps wire=%.2fmm%s\n", p.reclaim_tol_ps,
-                        p.skew_ps, p.wirelength_um / 1000.0,
-                        p.on_frontier ? " [frontier]" : " (dominated)");
         std::printf("%s: yield(skew<=%.1fps)=%.4f over %zu sample%s\n", label.c_str(),
                     scenario.skew_target_ps, sr.yield_at_target,
                     std::max<std::size_t>(sr.samples.size(), 1),

@@ -18,15 +18,21 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "check_bench_regression.py")
 
 
-def make_instance(name, seed_s=1.0, mode_s=0.2, wirelength=1000.0, skew=2.0,
-                  modes=("opt", "refine"), rss_mb=100.0):
-    inst = {"name": name,
-            "seed": {"seconds": seed_s, "wirelength_um": wirelength, "skew_ps": 8.0}}
+def make_instance(name, mode_s=0.2, wirelength=1000.0, skew=2.0,
+                  modes=("default", "parallel"), rss_mb=100.0):
+    inst = {"name": name}
     for m in modes:
         inst[m] = {"seconds": mode_s, "wirelength_um": wirelength, "skew_ps": skew}
     if rss_mb is not None:
         inst["peak_rss_mb"] = rss_mb
     return inst
+
+
+def make_doc(*instances, calibration_s=1.0):
+    doc = {"instances": list(instances)}
+    if calibration_s is not None:
+        doc["calibration_s"] = calibration_s
+    return doc
 
 
 def run_guard(fresh_doc, baseline_doc, raw_fresh=None):
@@ -43,71 +49,99 @@ def run_guard(fresh_doc, baseline_doc, raw_fresh=None):
 
 
 def test_identical_runs_pass():
-    doc = {"instances": [make_instance("a"), make_instance("b")]}
+    doc = make_doc(make_instance("a"), make_instance("b"))
     rc, out = run_guard(doc, doc)
     assert rc == 0, out
     assert "perf guard OK" in out
 
 
 def test_wall_clock_regression_fails_beyond_15_percent():
-    base = {"instances": [make_instance("a", seed_s=1.0, mode_s=0.2)]}
+    base = make_doc(make_instance("a", mode_s=0.2))
     # Normalized time 0.2 -> 0.24 (+20% > 15%) on a mode above the
-    # per-instance floor.
-    fresh = {"instances": [make_instance("a", seed_s=1.0, mode_s=0.24)]}
+    # per-instance floor, at equal calibration.
+    fresh = make_doc(make_instance("a", mode_s=0.24))
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
     assert "wall-clock" in out
 
 
 def test_wall_clock_within_15_percent_passes():
-    base = {"instances": [make_instance("a", seed_s=1.0, mode_s=0.2)]}
-    fresh = {"instances": [make_instance("a", seed_s=1.0, mode_s=0.22)]}  # +10%
+    base = make_doc(make_instance("a", mode_s=0.2))
+    fresh = make_doc(make_instance("a", mode_s=0.22))  # +10%
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
 
 
 def test_machine_speed_is_normalized_out():
-    base = {"instances": [make_instance("a", seed_s=1.0, mode_s=0.2)]}
-    # A machine 2x slower across the board must not trip the guard.
-    fresh = {"instances": [make_instance("a", seed_s=2.0, mode_s=0.4)]}
+    base = make_doc(make_instance("a", mode_s=0.2), calibration_s=1.0)
+    # A machine 2x slower across the board -- calibration kernel and
+    # every mode alike -- must not trip the guard.
+    fresh = make_doc(make_instance("a", mode_s=0.4), calibration_s=2.0)
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
 
 
+def test_slower_machine_does_not_hide_a_regression():
+    base = make_doc(make_instance("a", mode_s=0.2), calibration_s=1.0)
+    # 2x slower machine, but the modes slowed 2.4x: +20% normalized.
+    fresh = make_doc(make_instance("a", mode_s=0.48), calibration_s=2.0)
+    rc, out = run_guard(fresh, base)
+    assert rc == 1, out
+    assert "x calibration" in out
+
+
+def test_fresh_without_calibration_is_a_usage_error():
+    base = make_doc(make_instance("a"))
+    for cal in (None, 0.0):  # absent, or not a positive number
+        fresh = make_doc(make_instance("a"), calibration_s=cal)
+        rc, out = run_guard(fresh, base)
+        assert rc == 2, out
+        assert "calibration_s" in out
+
+
+def test_baseline_without_calibration_skips_wall_clock_with_a_note():
+    base = make_doc(make_instance("a", mode_s=0.2), calibration_s=None)
+    fresh = make_doc(make_instance("a", mode_s=0.4, wirelength=1040.0))
+    rc, out = run_guard(fresh, base)
+    assert rc == 1, out  # the wirelength gate still runs
+    assert "wall-clock checks skipped" in out
+    assert "wall-clock 0" not in out
+
+
 def test_wirelength_regression_fails_beyond_3_percent():
-    base = {"instances": [make_instance("a", wirelength=1000.0)]}
-    fresh = {"instances": [make_instance("a", wirelength=1040.0)]}  # +4% > 3%
+    base = make_doc(make_instance("a", wirelength=1000.0))
+    fresh = make_doc(make_instance("a", wirelength=1040.0))  # +4% > 3%
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
     assert "wirelength" in out
 
 
-def test_refine_skew_gate_fails_beyond_one_picosecond():
-    base = {"instances": [make_instance("a", skew=2.0)]}
-    fresh = {"instances": [make_instance("a", skew=3.5)]}  # +1.5 ps > 1 ps
+def test_skew_gate_fails_beyond_one_picosecond():
+    base = make_doc(make_instance("a", skew=2.0))
+    fresh = make_doc(make_instance("a", skew=3.5))  # +1.5 ps > 1 ps
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
     assert "skew" in out
 
 
-def test_reclaim_mode_skew_is_gated_too():
-    base = {"instances": [make_instance("a", modes=("reclaim",), skew=2.0)]}
-    fresh = {"instances": [make_instance("a", modes=("reclaim",), skew=3.5)]}
+def test_skew_gate_covers_every_mode():
+    base = make_doc(make_instance("a", modes=("parallel",), skew=2.0))
+    fresh = make_doc(make_instance("a", modes=("parallel",), skew=3.5))
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
-    assert "skew" in out
+    assert "a/parallel: refined skew" in out
 
 
-def test_non_refine_modes_skew_is_not_gated():
-    base = {"instances": [make_instance("a", modes=("opt",), skew=2.0)]}
-    fresh = {"instances": [make_instance("a", modes=("opt",), skew=9.0)]}
+def test_skew_within_one_picosecond_passes():
+    base = make_doc(make_instance("a", skew=2.0))
+    fresh = make_doc(make_instance("a", skew=2.9))
     rc, out = run_guard(fresh, base)
-    assert rc == 0, out  # decision-chaotic modes stay ungated
+    assert rc == 0, out
 
 
 def test_missing_instances_and_modes_are_skipped_not_failed():
-    base = {"instances": [make_instance("a"), make_instance("gone")]}
-    fresh = {"instances": [make_instance("a")]}
+    base = make_doc(make_instance("a"), make_instance("gone"))
+    fresh = make_doc(make_instance("a"))
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
     assert "skipped" in out
@@ -115,11 +149,11 @@ def test_missing_instances_and_modes_are_skipped_not_failed():
 
 def test_missing_wirelength_column_is_flagged_not_fatal():
     # A degraded harness run (deadline hit mid-reclaim) can emit a
-    # reclaim record without the wirelength column; the gate must warn
+    # mode record without the wirelength column; the gate must warn
     # and keep checking the other metrics instead of crashing.
-    base = {"instances": [make_instance("a", modes=("opt", "reclaim"))]}
-    fresh = {"instances": [make_instance("a", modes=("opt", "reclaim"))]}
-    del fresh["instances"][0]["reclaim"]["wirelength_um"]
+    base = make_doc(make_instance("a", modes=("default", "parallel")))
+    fresh = make_doc(make_instance("a", modes=("default", "parallel")))
+    del fresh["instances"][0]["parallel"]["wirelength_um"]
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
     assert "missing wirelength_um in fresh" in out
@@ -127,21 +161,21 @@ def test_missing_wirelength_column_is_flagged_not_fatal():
 
 
 def test_missing_column_does_not_mask_other_regressions():
-    base = {"instances": [make_instance("a", modes=("opt", "reclaim"),
-                                        wirelength=1000.0)]}
-    fresh = {"instances": [make_instance("a", modes=("opt", "reclaim"),
-                                         wirelength=1040.0)]}  # opt regresses
-    del fresh["instances"][0]["reclaim"]["wirelength_um"]
+    base = make_doc(make_instance("a", modes=("default", "parallel"),
+                                        wirelength=1000.0))
+    fresh = make_doc(make_instance("a", modes=("default", "parallel"),
+                                         wirelength=1040.0))  # default regresses
+    del fresh["instances"][0]["parallel"]["wirelength_um"]
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
-    assert "a/opt: wirelength" in out
+    assert "a/default: wirelength" in out
     assert "missing wirelength_um" in out
 
 
 def test_missing_seconds_column_is_flagged_not_fatal():
-    base = {"instances": [make_instance("a", modes=("opt",))]}
-    fresh = {"instances": [make_instance("a", modes=("opt",))]}
-    del fresh["instances"][0]["opt"]["seconds"]
+    base = make_doc(make_instance("a", modes=("default",)))
+    fresh = make_doc(make_instance("a", modes=("default",)))
+    del fresh["instances"][0]["default"]["seconds"]
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
     assert "missing seconds in fresh" in out
@@ -149,16 +183,16 @@ def test_missing_seconds_column_is_flagged_not_fatal():
 
 
 def test_peak_rss_regression_fails_beyond_25_percent():
-    base = {"instances": [make_instance("a", rss_mb=100.0)]}
-    fresh = {"instances": [make_instance("a", rss_mb=130.0)]}  # +30% > 25%
+    base = make_doc(make_instance("a", rss_mb=100.0))
+    fresh = make_doc(make_instance("a", rss_mb=130.0))  # +30% > 25%
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
     assert "peak RSS" in out
 
 
 def test_peak_rss_within_25_percent_passes():
-    base = {"instances": [make_instance("a", rss_mb=100.0)]}
-    fresh = {"instances": [make_instance("a", rss_mb=120.0)]}  # +20%
+    base = make_doc(make_instance("a", rss_mb=100.0))
+    fresh = make_doc(make_instance("a", rss_mb=120.0))  # +20%
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
 
@@ -167,8 +201,8 @@ def test_old_baseline_without_rss_column_is_tolerated_and_flagged():
     # Baselines committed before the peak_rss_mb column existed must
     # not break the gate -- the skip is announced, never silent, and
     # the other metrics keep being checked.
-    base = {"instances": [make_instance("a", rss_mb=None)]}
-    fresh = {"instances": [make_instance("a", rss_mb=500.0)]}
+    base = make_doc(make_instance("a", rss_mb=None))
+    fresh = make_doc(make_instance("a", rss_mb=500.0))
     rc, out = run_guard(fresh, base)
     assert rc == 0, out
     assert "no peak_rss_mb column" in out
@@ -177,8 +211,8 @@ def test_old_baseline_without_rss_column_is_tolerated_and_flagged():
 
 
 def test_old_baseline_without_rss_does_not_mask_other_regressions():
-    base = {"instances": [make_instance("a", rss_mb=None, wirelength=1000.0)]}
-    fresh = {"instances": [make_instance("a", rss_mb=500.0, wirelength=1040.0)]}
+    base = make_doc(make_instance("a", rss_mb=None, wirelength=1000.0))
+    fresh = make_doc(make_instance("a", rss_mb=500.0, wirelength=1040.0))
     rc, out = run_guard(fresh, base)
     assert rc == 1, out
     assert "wirelength" in out
@@ -188,14 +222,14 @@ def test_old_baseline_without_rss_does_not_mask_other_regressions():
 def test_empty_but_wellformed_document_is_a_usage_error():
     # An interrupted harness or renamed instances must not produce a
     # green gate with zero checks.
-    base = {"instances": [make_instance("a")]}
-    rc, out = run_guard({}, base)
+    base = make_doc(make_instance("a"))
+    rc, out = run_guard(make_doc(), base)
     assert rc == 2, out
     assert "no comparable" in out
 
 
 def test_malformed_json_is_a_usage_error():
-    base = {"instances": [make_instance("a")]}
+    base = make_doc(make_instance("a"))
     rc, out = run_guard(None, base, raw_fresh="{not json")
     assert rc == 2, out
 
@@ -214,7 +248,7 @@ def make_serve(worker_rps, failed=0, rejected=0, identical=True):
 
 def run_guard_with_serve(serve_fresh, serve_base, raw_serve_base=None,
                          serve_base_missing=False):
-    doc = {"instances": [make_instance("a")]}
+    doc = make_doc(make_instance("a"))
     with tempfile.TemporaryDirectory() as td:
         paths = {n: os.path.join(td, n + ".json")
                  for n in ("fresh", "base", "sfresh", "sbase")}
@@ -330,14 +364,12 @@ def make_scenario(cost_ratio=2.0, yield_at=0.8, identical=True,
             "mc_cost_ratio": cost_ratio,
             "samples_per_s": samples / (0.1 * cost_ratio),
             "skew_target_ps": 10.0, "yield_at_target": yield_at,
-            "nominal_skew_ps": 3.0, "threads_identical": identical,
-            "pareto_points": 6, "frontier_points": 2,
-            "frontier_skew_extent_ps": 0.5, "frontier_wire_extent_um": 100.0}
+            "nominal_skew_ps": 3.0, "threads_identical": identical}
 
 
 def run_guard_with_scenario(sc_fresh, sc_base, raw_sc_base=None,
                             sc_base_missing=False):
-    doc = {"instances": [make_instance("a")]}
+    doc = make_doc(make_instance("a"))
     serve = make_serve([(1, 10.0), (2, 18.0)])
     with tempfile.TemporaryDirectory() as td:
         paths = {n: os.path.join(td, n + ".json")
