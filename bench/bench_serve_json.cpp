@@ -63,8 +63,8 @@ struct WorkerRun {
 
 std::vector<std::string> build_requests(int count) {
     // Mixed tenant shapes: four size classes, varying spans and seeds,
-    // every third request with a quality pass off -- the mix a shared
-    // daemon actually sees, not a uniform microbenchmark.
+    // two of every three requests with the refine pass off -- the mix
+    // a shared daemon actually sees, not a uniform microbenchmark.
     const int sizes[] = {80, 120, 180, 240};
     const double spans[] = {8000.0, 12000.0, 16000.0, 20000.0};
     std::vector<std::string> reqs;
@@ -74,8 +74,7 @@ std::vector<std::string> build_requests(int count) {
                         std::to_string(sizes[i % 4]) + ",\"span_um\":" +
                         serve::json_number(spans[(i / 4) % 4]) +
                         ",\"seed\":" + std::to_string(i + 1) + "}";
-        if (i % 3 == 1) r += ",\"options\":{\"skew_refine\":false}";
-        if (i % 3 == 2) r += ",\"options\":{\"wire_reclaim\":false}";
+        if (i % 3 != 0) r += ",\"options\":{\"skew_refine\":false}";
         r += "}";
         reqs.push_back(std::move(r));
     }

@@ -3,8 +3,8 @@
 //
 //   default  - serial (num_threads = 1)
 //   parallel - one thread per hardware thread (num_threads = 0): the
-//              DAG pipeline of docs/parallelism.md, merge / refine /
-//              reclaim sweeps over the dependency-DAG executor
+//              DAG pipeline of docs/parallelism.md, merge and refine
+//              sweeps over the dependency-DAG executor
 //
 // and writes BENCH_synth.json next to the binary so the performance
 // trajectory is tracked from change to change. The whole sweep --
@@ -106,9 +106,7 @@ struct ModeResult {
     int buffers{0};
     double skew_ps{0.0};
     int tree_nodes{0};
-    double reclaimed_um{0.0};    ///< verified net reclaim
-    double refine_wall_s{std::numeric_limits<double>::infinity()};   ///< skew-refine pass
-    double reclaim_wall_s{std::numeric_limits<double>::infinity()};  ///< wire-reclaim pass
+    double refine_wall_s{std::numeric_limits<double>::infinity()};  ///< skew-refine pass
     cts::profile::Snapshot phases;
 };
 
@@ -135,14 +133,12 @@ void run_mode(const std::vector<cts::SinkSpec>& sinks, int threads, ModeResult& 
     r.phases = cts::profile::snapshot();
     cts::profile::enable(false);
     r.refine_wall_s = std::min(r.refine_wall_s, res.refine.wall_s);
-    r.reclaim_wall_s = std::min(r.reclaim_wall_s, res.reclaim.wall_s);
     r.wirelength_um = res.wire_length_um;
     r.buffers = res.buffer_count;
     r.skew_ps = res.root_timing.max_ps - res.root_timing.min_ps;
-    // Live nodes below the root (reclaim's ballast removals orphan
-    // arena slots), consistent with the buffer/wirelength metrics.
+    // Live nodes below the root, consistent with the buffer/wirelength
+    // metrics.
     r.tree_nodes = static_cast<int>(res.tree.subtree(res.root).size());
-    r.reclaimed_um = res.reclaim.reclaimed_um;
 }
 
 /// Wall-clock ratio with a floor against timer noise on sub-ms passes.
@@ -167,19 +163,16 @@ InstanceRow make_row(const std::string& name, int nsinks, double span, unsigned 
 void emit_mode(std::FILE* f, const char* key, const ModeResult& m, bool trailing_comma) {
     std::fprintf(f,
                  "      \"%s\": {\"seconds\": %.6f, \"wirelength_um\": %.3f, "
-                 "\"buffers\": %d, \"skew_ps\": %.6f, \"tree_nodes\": %d, "
-                 "\"reclaimed_um\": %.3f,\n"
-                 "        \"refine_wall_s\": %.6f, \"reclaim_wall_s\": %.6f,\n"
+                 "\"buffers\": %d, \"skew_ps\": %.6f, \"tree_nodes\": %d,\n"
+                 "        \"refine_wall_s\": %.6f,\n"
                  "        \"phases\": {\"maze_s\": %.6f, \"balance_s\": %.6f, "
-                 "\"timing_s\": %.6f, \"refine_s\": %.6f, \"reclaim_s\": %.6f, "
-                 "\"exec_idle_s\": %.6f},\n"
+                 "\"timing_s\": %.6f, \"refine_s\": %.6f, \"exec_idle_s\": %.6f},\n"
                  "        \"maze_calls\": %llu, \"c2f_coarse\": %llu, "
                  "\"c2f_refined\": %llu, \"c2f_fallbacks\": %llu, "
                  "\"dag_tasks\": %llu, \"dag_steals\": %llu}%s\n",
                  key, m.seconds, m.wirelength_um, m.buffers, m.skew_ps, m.tree_nodes,
-                 m.reclaimed_um, m.refine_wall_s, m.reclaim_wall_s, m.phases.maze_s,
-                 m.phases.balance_s, m.phases.timing_s, m.phases.refine_s,
-                 m.phases.reclaim_s, m.phases.exec_idle_s,
+                 m.refine_wall_s, m.phases.maze_s, m.phases.balance_s, m.phases.timing_s,
+                 m.phases.refine_s, m.phases.exec_idle_s,
                  static_cast<unsigned long long>(m.phases.maze_calls),
                  static_cast<unsigned long long>(m.phases.c2f_coarse_routes),
                  static_cast<unsigned long long>(m.phases.c2f_refined),
@@ -278,9 +271,9 @@ int main() {
                                  a.buffers == b.buffers && a.skew_ps == b.skew_ps &&
                                  a.tree_nodes == b.tree_nodes;
         std::printf("%-18s %6d sinks %7.0f um | default %7.3fs  parallel %7.3fs  "
-                    "skew %6.3f ps  wl %9.0f um (-%.0f um reclaimed)  rss %6.1f MB%s\n",
+                    "skew %6.3f ps  wl %9.0f um  rss %6.1f MB%s\n",
                     row.name.c_str(), row.sinks, row.span_um, a.seconds, b.seconds, a.skew_ps,
-                    a.wirelength_um, a.reclaimed_um, row.peak_rss_mb,
+                    a.wirelength_um, row.peak_rss_mb,
                     row.parallel_identical ? "" : "  [PARALLEL MISMATCH]");
     }
 
@@ -313,8 +306,6 @@ int main() {
                      speedup(r.serial.seconds, r.parallel.seconds));
         std::fprintf(f, "      \"refine_parallel_speedup\": %.3f,\n",
                      speedup(r.serial.refine_wall_s, r.parallel.refine_wall_s));
-        std::fprintf(f, "      \"reclaim_parallel_speedup\": %.3f,\n",
-                     speedup(r.serial.reclaim_wall_s, r.parallel.reclaim_wall_s));
         std::fprintf(f, "      \"peak_rss_mb\": %.1f,\n", r.peak_rss_mb);
         std::fprintf(f, "      \"parallel_identical\": %s\n    }%s\n",
                      r.parallel_identical ? "true" : "false",
@@ -333,10 +324,9 @@ int main() {
         const ModeResult& p = largest->parallel;
         std::printf("largest %s: %.3fs serial, %.3fs x calibration\n", largest->name.c_str(),
                     s.seconds, s.seconds / calibration_s);
-        std::printf("maze/balance/timing/refine/reclaim split: "
-                    "%.3f / %.3f / %.3f / %.3f / %.3f s\n",
-                    s.phases.maze_s, s.phases.balance_s, s.phases.timing_s, s.phases.refine_s,
-                    s.phases.reclaim_s);
+        std::printf("maze/balance/timing/refine split: %.3f / %.3f / %.3f / %.3f s\n",
+                    s.phases.maze_s, s.phases.balance_s, s.phases.timing_s,
+                    s.phases.refine_s);
         std::printf("parallel: %.3fs (%.2fx; DAG idle %.3fs over %llu tasks / %llu steals)\n",
                     p.seconds, speedup(s.seconds, p.seconds), p.phases.exec_idle_s,
                     static_cast<unsigned long long>(p.phases.dag_tasks),

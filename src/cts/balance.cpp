@@ -148,61 +148,6 @@ SnakePreview snake_delay_preview(const ClockTree& tree, int root, double burn_ps
     return res;
 }
 
-void EditJournal::record_wire(int node, double old_um) {
-    Entry e;
-    e.kind = Entry::Kind::wire;
-    e.node = node;
-    e.old_wire_um = old_um;
-    entries.push_back(e);
-}
-
-void EditJournal::record_snake_removal(int ballast, int parent, int child,
-                                       double old_wire_um, double snake_wire_um) {
-    Entry e;
-    e.kind = Entry::Kind::snake_removal;
-    e.node = ballast;
-    e.parent = parent;
-    e.child = child;
-    e.old_wire_um = old_wire_um;
-    e.snake_wire_um = snake_wire_um;
-    entries.push_back(e);
-}
-
-void EditJournal::undo(ClockTree& tree, IncrementalTiming& engine) {
-    for (std::size_t i = entries.size(); i-- > 0;) {
-        const Entry& e = entries[i];
-        switch (e.kind) {
-            case Entry::Kind::wire:
-                tree.node(e.node).parent_wire_um = e.old_wire_um;
-                engine.wire_changed(e.node);
-                break;
-            case Entry::Kind::snake_removal:
-                tree.disconnect(e.child);
-                tree.connect(e.node, e.child, e.snake_wire_um);
-                tree.connect(e.parent, e.node, e.old_wire_um);
-                // Two components changed back: the ballast's own
-                // (wire below it restored) and its parent's (drives
-                // the ballast again instead of the child).
-                engine.wire_changed(e.child);
-                engine.wire_changed(e.node);
-                break;
-        }
-    }
-    entries.clear();
-}
-
-void remove_snake_stage(ClockTree& tree, int ballast, EditJournal& journal) {
-    const TreeNode& bn = tree.node(ballast);
-    const int parent = bn.parent;
-    const int child = bn.children.at(0);
-    const double old_wire = bn.parent_wire_um;
-    const double snake_wire = tree.node(child).parent_wire_um;
-    journal.record_snake_removal(ballast, parent, child, old_wire, snake_wire);
-    tree.disconnect(ballast);
-    tree.disconnect(child);
-    tree.connect(parent, child, old_wire);
-}
-
 PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
                             const SynthesisOptions& opt, IncrementalTiming& engine) {

@@ -76,49 +76,6 @@ PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
                             const SynthesisOptions& opt, IncrementalTiming& engine);
 
-/// Reversible edit journal for the verified-batch passes
-/// (wire_reclaim.h): records the INVERSE of each stage-wire trim and
-/// snake-stage removal so a whole batch whose engine-verified skew
-/// regresses beyond tolerance can be rolled back exactly -- the tree
-/// after undo() is node-for-node identical to the tree before the
-/// recorded edits (removed snake buffers are re-linked, never
-/// re-allocated, so node ids are stable across apply/undo).
-struct EditJournal {
-    struct Entry {
-        enum class Kind { wire, snake_removal };
-        Kind kind{Kind::wire};
-        int node{-1};    ///< wire: the child whose parent wire moved;
-                         ///< snake_removal: the removed ballast buffer
-        int parent{-1};  ///< snake_removal: the buffer the ballast hung under
-        int child{-1};   ///< snake_removal: the ballast's single child
-        double old_wire_um{0.0};    ///< wire: previous parent_wire_um of node;
-                                    ///< snake_removal: previous parent->ballast wire
-        double snake_wire_um{0.0};  ///< snake_removal: ballast->child wire
-    };
-    std::vector<Entry> entries;
-
-    void record_wire(int node, double old_um);
-    void record_snake_removal(int ballast, int parent, int child, double old_wire_um,
-                              double snake_wire_um);
-    bool empty() const { return entries.empty(); }
-    void clear() { entries.clear(); }
-
-    /// Apply every inverse in reverse record order, notifying `engine`
-    /// of each restored wire so its cached state stays consistent with
-    /// the restored tree.
-    void undo(ClockTree& tree, IncrementalTiming& engine);
-};
-
-/// Remove the delay-ballast snake stage `ballast` (a buffer with one
-/// child sitting at zero geometric distance from it, inserted by
-/// snake_delay): its child is re-linked directly under ballast's
-/// parent, keeping the parent-side wire length. The inverse is
-/// recorded in `journal`. The caller is responsible for notifying its
-/// timing engine (wire_changed on the re-linked child) and for any
-/// follow-up stage-wire adjustment. This is the complement of
-/// snake_delay for the verified wirelength-reclamation pass.
-void remove_snake_stage(ClockTree& tree, int ballast, EditJournal& journal);
-
 }  // namespace ctsim::cts
 
 #endif  // CTSIM_CTS_BALANCE_H

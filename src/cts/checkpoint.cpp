@@ -16,7 +16,7 @@ namespace ctsim::cts {
 
 namespace {
 
-constexpr char kMagic[] = "ctsim-checkpoint-v1";
+constexpr char kMagic[] = "ctsim-checkpoint-v2";
 constexpr char kFileName[] = "synth.ckpt";
 
 /// FNV-1a over the serialized payload -- torn-write / bit-rot
@@ -113,9 +113,6 @@ void fingerprint_options(std::ostream& os, const SynthesisOptions& o) {
     put_dbl(os, o.source_slew_ps);
     os << ' ' << o.rng_seed << ' ' << o.skew_refine << ' ' << o.skew_refine_passes;
     put_dbl(os, o.skew_refine_tol_ps);
-    os << ' ' << o.wire_reclaim << ' ' << o.wire_reclaim_passes << ' '
-       << o.wire_reclaim_batch;
-    put_dbl(os, o.wire_reclaim_skew_tol_ps);
     // Memory pressure degrades routing, so the budget is part of the
     // configuration identity.
     put_dbl(os, o.memory_budget_mb);
@@ -142,55 +139,27 @@ void Checkpointer::bind(const std::vector<SinkSpec>& sinks, const SynthesisOptio
     bound_ = true;
 }
 
-util::Status Checkpointer::save(CheckpointPhase phase, const ClockTree& tree,
-                                const ReclaimCheckpoint* reclaim) {
+util::Status Checkpointer::save(const ClockTree& tree, const CheckpointBase& base) {
     if (!bound_)
         return util::Status::internal("checkpoint: save before bind()");
-    if (phase == CheckpointPhase::reclaim_sweep && reclaim == nullptr)
-        return util::Status::internal("checkpoint: reclaim_sweep save needs sweep state");
 
     std::ostringstream os;
     os << "fingerprint ";
     put_hex(os, fingerprint_);
-    os << "\nphase " << static_cast<int>(phase);
-    os << "\nroot " << base_.root << ' ' << base_.source_buffer << ' ' << base_.levels;
-    os << "\nhstats " << base_.hstats.checks << ' ' << base_.hstats.flips;
+    os << "\nphase " << static_cast<int>(CheckpointPhase::post_merge);
+    os << "\nroot " << base.root << ' ' << base.source_buffer << ' ' << base.levels;
+    os << "\nhstats " << base.hstats.checks << ' ' << base.hstats.flips;
     os << "\nroot_timing ";
-    put_dbl(os, base_.root_timing.max_ps);
+    put_dbl(os, base.root_timing.max_ps);
     os << ' ';
-    put_dbl(os, base_.root_timing.min_ps);
-    const SkewRefineStats& rf = base_.refine;
-    os << "\nrefine " << rf.passes << ' ' << rf.merges_visited << ' ' << rf.trims << ' '
-       << rf.buffer_swaps << ' ' << rf.snake_stages << ' ';
-    put_dbl(os, rf.initial_skew_ps);
-    os << ' ';
-    put_dbl(os, rf.final_skew_ps);
+    put_dbl(os, base.root_timing.min_ps);
     // The memory rung, budget peak and resumed-from marker are NOT
     // persisted: they describe the writing PROCESS, and the resuming
     // process accounts for itself.
-    const SynthesisDiagnostics& d = base_.diag;
+    const SynthesisDiagnostics& d = base.diag;
     os << "\ndiag " << d.deadline_hit << ' ' << static_cast<int>(d.degraded_at) << ' '
-       << d.degraded_routes << ' ' << d.refine_skipped << ' ' << d.reclaim_skipped << ' '
-       << d.c2f_fallbacks << ' ' << d.first_c2f_fallback_merge << ' '
-       << d.grid_coarsened_routes;
-    if (phase == CheckpointPhase::reclaim_sweep) {
-        const WireReclaimStats& rs = reclaim->stats;
-        os << "\nreclaim " << reclaim->next_sweep << ' ' << reclaim->batch << ' ';
-        put_dbl(os, reclaim->skew_budget_ps);
-        os << ' ';
-        put_dbl(os, reclaim->slew_budget_ps);
-        os << ' ' << rs.passes << ' ' << rs.batches_accepted << ' '
-           << rs.batches_rolled_back << ' ' << rs.trims << ' ' << rs.snake_removals << ' ';
-        put_dbl(os, rs.reclaimed_um);
-        os << ' ';
-        put_dbl(os, rs.initial_skew_ps);
-        os << ' ';
-        put_dbl(os, rs.final_skew_ps);
-        os << ' ';
-        put_dbl(os, rs.initial_wirelength_um);
-        os << ' ';
-        put_dbl(os, rs.final_wirelength_um);
-    }
+       << d.degraded_routes << ' ' << d.refine_skipped << ' ' << d.c2f_fallbacks << ' '
+       << d.first_c2f_fallback_merge << ' ' << d.grid_coarsened_routes;
     os << "\nnodes " << tree.size() << '\n';
     for (int i = 0; i < tree.size(); ++i) {
         const TreeNode& n = tree.node(i);
@@ -249,11 +218,7 @@ bool Checkpointer::load(Loaded& out) const {
 
         Loaded ld;
         expect_tag(body, "phase");
-        const std::int64_t ph = get_int(body);
-        if (ph < static_cast<int>(CheckpointPhase::post_merge) ||
-            ph > static_cast<int>(CheckpointPhase::reclaim_sweep))
-            bad("phase");
-        ld.phase = static_cast<CheckpointPhase>(ph);
+        if (get_int(body) != static_cast<int>(CheckpointPhase::post_merge)) bad("phase");
         expect_tag(body, "root");
         ld.base.root = static_cast<int>(get_int(body));
         ld.base.source_buffer = static_cast<int>(get_int(body));
@@ -264,44 +229,15 @@ bool Checkpointer::load(Loaded& out) const {
         expect_tag(body, "root_timing");
         ld.base.root_timing.max_ps = get_dbl(body);
         ld.base.root_timing.min_ps = get_dbl(body);
-        expect_tag(body, "refine");
-        SkewRefineStats& rf = ld.base.refine;
-        rf.passes = static_cast<int>(get_int(body));
-        rf.merges_visited = static_cast<int>(get_int(body));
-        rf.trims = static_cast<int>(get_int(body));
-        rf.buffer_swaps = static_cast<int>(get_int(body));
-        rf.snake_stages = static_cast<int>(get_int(body));
-        rf.initial_skew_ps = get_dbl(body);
-        rf.final_skew_ps = get_dbl(body);
         expect_tag(body, "diag");
         SynthesisDiagnostics& d = ld.base.diag;
         d.deadline_hit = get_int(body) != 0;
         d.degraded_at = static_cast<DegradeStage>(get_int(body));
         d.degraded_routes = static_cast<int>(get_int(body));
         d.refine_skipped = get_int(body) != 0;
-        d.reclaim_skipped = get_int(body) != 0;
         d.c2f_fallbacks = static_cast<int>(get_int(body));
         d.first_c2f_fallback_merge = static_cast<int>(get_int(body));
         d.grid_coarsened_routes = static_cast<int>(get_int(body));
-        if (ld.phase == CheckpointPhase::reclaim_sweep) {
-            expect_tag(body, "reclaim");
-            ReclaimCheckpoint& rc = ld.reclaim;
-            rc.next_sweep = static_cast<int>(get_int(body));
-            rc.batch = static_cast<int>(get_int(body));
-            rc.skew_budget_ps = get_dbl(body);
-            rc.slew_budget_ps = get_dbl(body);
-            WireReclaimStats& rs = rc.stats;
-            rs.passes = static_cast<int>(get_int(body));
-            rs.batches_accepted = static_cast<int>(get_int(body));
-            rs.batches_rolled_back = static_cast<int>(get_int(body));
-            rs.trims = static_cast<int>(get_int(body));
-            rs.snake_removals = static_cast<int>(get_int(body));
-            rs.reclaimed_um = get_dbl(body);
-            rs.initial_skew_ps = get_dbl(body);
-            rs.final_skew_ps = get_dbl(body);
-            rs.initial_wirelength_um = get_dbl(body);
-            rs.final_wirelength_um = get_dbl(body);
-        }
 
         expect_tag(body, "nodes");
         const std::int64_t n = get_int(body);

@@ -1,19 +1,19 @@
 // Crash-safe checkpoint/resume for synthesize().
 //
 // A checkpoint is one checksummed, versioned text file holding the
-// in-progress tree plus every piece of engine-observable state the
-// remaining phases read: the levelized-merge outputs (root, levels,
-// H-structure stats, root timing), the refine stats, the diagnostics
-// accumulated so far, and -- mid-reclaim -- the sweep cursor and
-// whole-pass budgets (wire_reclaim.h's ReclaimCheckpoint). Because
-// the timing engine is a pure function of the tree, nothing of the
-// engine itself is persisted: the resumed run rebuilds it and lands
-// on bit-identical values, so a resumed synthesis produces a tree
-// node-for-node equal to the uninterrupted run's.
+// tree as bottom-up merging left it plus every piece of
+// engine-observable state the refine pass reads: the levelized-merge
+// outputs (root, levels, H-structure stats, root timing) and the
+// diagnostics accumulated so far. Because the timing engine is a pure
+// function of the tree, nothing of the engine itself is persisted:
+// the resumed run rebuilds it and lands on bit-identical values, so a
+// resumed synthesis produces a tree node-for-node equal to the
+// uninterrupted run's.
 //
 // Durability contract (the delay-cache idiom, hardened):
 //   - layout: magic line, "checksum <fnv1a64>" over the payload,
-//     payload. A torn or bit-flipped file fails validation and is
+//     payload. A torn or bit-flipped file, or one written under a
+//     different magic (an older format), fails validation and is
 //     treated as ABSENT -- the run starts from scratch, never from
 //     garbage.
 //   - doubles round-trip as raw IEEE-754 bit patterns (hex), so the
@@ -27,11 +27,9 @@
 //     point; a failed publish leaves the previous snapshot intact
 //     and no temp files behind.
 //
-// Checkpoints are only written at boundaries whose state the
-// uninterrupted run would reproduce: a phase cut short by a deadline
-// trip is NOT checkpointed (its degraded output is not the nominal
-// one), while reclaim sweeps are always safe -- a cancelled sweep is
-// rolled back wholesale before the pass returns.
+// The one snapshot is written only when the merge phase completed
+// nominally: a merge phase cut short by a deadline trip is NOT
+// checkpointed (its degraded output is not the nominal one).
 #ifndef CTSIM_CTS_CHECKPOINT_H
 #define CTSIM_CTS_CHECKPOINT_H
 
@@ -44,18 +42,14 @@
 
 namespace ctsim::cts {
 
-/// Merge-phase outputs shared by every checkpoint phase. synthesize()
-/// installs it once the merge loop finishes (and refreshes `refine` /
-/// `diag` after the refine pass); later saves reuse it so the reclaim
-/// pass can publish sweep snapshots without threading the whole
-/// synthesis context through.
+/// Merge-phase outputs the post_merge snapshot carries besides the
+/// tree.
 struct CheckpointBase {
     int root{-1};
     int source_buffer{-1};
     int levels{0};
     HStructureStats hstats;
     RootTiming root_timing;
-    SkewRefineStats refine;  ///< zeroed until phase >= post_refine
     SynthesisDiagnostics diag;
 };
 
@@ -70,21 +64,15 @@ class Checkpointer {
     /// load() and save() require it.
     void bind(const std::vector<SinkSpec>& sinks, const SynthesisOptions& opt);
 
-    void set_base(const CheckpointBase& base) { base_ = base; }
-
-    /// Publish a snapshot of `tree` at `phase` (atomic, retried,
-    /// checksummed). `reclaim` is required for reclaim_sweep and
-    /// ignored otherwise. Failure is reported, not thrown: a
-    /// checkpoint is a durability aid, so callers degrade to
-    /// "no snapshot" rather than failing the synthesis.
-    util::Status save(CheckpointPhase phase, const ClockTree& tree,
-                      const ReclaimCheckpoint* reclaim = nullptr);
+    /// Publish the post_merge snapshot of `tree` and `base` (atomic,
+    /// retried, checksummed). Failure is reported, not thrown: a
+    /// checkpoint is a durability aid, so callers degrade to "no
+    /// snapshot" rather than failing the synthesis.
+    util::Status save(const ClockTree& tree, const CheckpointBase& base);
 
     struct Loaded {
-        CheckpointPhase phase{CheckpointPhase::none};
         ClockTree tree;
         CheckpointBase base;
-        ReclaimCheckpoint reclaim;  ///< meaningful for reclaim_sweep
     };
 
     /// Read, validate (magic, checksum, fingerprint) and parse the
@@ -104,7 +92,6 @@ class Checkpointer {
     std::string path_;
     std::uint64_t fingerprint_{0};
     bool bound_{false};
-    CheckpointBase base_;
 };
 
 }  // namespace ctsim::cts

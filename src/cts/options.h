@@ -16,18 +16,14 @@ class Checkpointer;
 /// Lives here (not checkpoint.h) so SynthesisDiagnostics can record
 /// the resumed-from phase without an include cycle.
 enum class CheckpointPhase : int {
-    none = 0,          ///< no snapshot / fresh run
-    post_merge = 1,    ///< bottom-up merging finished
-    post_refine = 2,   ///< skew refinement finished
-    reclaim_sweep = 3, ///< mid-reclaim, at a verified sweep boundary
+    none = 0,        ///< no snapshot / fresh run
+    post_merge = 1,  ///< bottom-up merging finished
 };
 
 inline const char* checkpoint_phase_name(CheckpointPhase p) {
     switch (p) {
         case CheckpointPhase::none: return "none";
         case CheckpointPhase::post_merge: return "post_merge";
-        case CheckpointPhase::post_refine: return "post_refine";
-        case CheckpointPhase::reclaim_sweep: return "reclaim_sweep";
     }
     return "unknown";
 }
@@ -97,14 +93,14 @@ struct SynthesisOptions {
     unsigned rng_seed{1};
 
     /// Worker threads for independent subtree merges and the
-    /// refine/reclaim sweeps: 1 = serial, 0 = one per hardware thread,
+    /// refine sweeps: 1 = serial, 0 = one per hardware thread,
     /// n = exactly n. Each level's merges run through the deterministic
     /// DAG executor (extract+route concurrently, commits published in
     /// pairing order; see docs/parallelism.md), so results are
     /// bit-for-bit identical across thread counts.
     int num_threads{1};
 
-    // --- post-synthesis passes --------------------------------------
+    // --- post-synthesis pass ----------------------------------------
     /// Run the post-synthesis top-down skew refinement pass
     /// (skew_refine.h): every merge node's two-sided balance is
     /// re-solved on the finished tree (stage-wire trims, coupled
@@ -118,46 +114,21 @@ struct SynthesisOptions {
     /// Per-merge convergence tolerance of the refinement pass [ps]:
     /// a merge whose two sides agree within this is left alone.
     double skew_refine_tol_ps{0.05};
-    /// Run the post-refinement wirelength reclamation pass
-    /// (wire_reclaim.h): ranked common-mode stage-wire trims and
-    /// snake-stage removals are applied in budgeted batches, each
-    /// batch verified wholesale by one IncrementalTiming truth walk
-    /// and rolled back (recorded inverse edits) when the verified
-    /// skew regresses beyond wire_reclaim_skew_tol_ps. Off reproduces
-    /// the unreclaimed tree.
-    bool wire_reclaim{true};
-    /// Verified sweeps of the reclamation pass (each costs one truth
-    /// walk); it stops earlier when no candidate clears the minimum
-    /// predicted reclaim or a rolled-back batch halves to zero. Two
-    /// sweeps recover nearly all of the reachable slack -- the
-    /// balance-critical structure of a refined tree caps the verified
-    /// flow (see wire_reclaim.h) -- and keep the pass within its
-    /// <= 10% end-to-end budget at scal_n3200.
-    int wire_reclaim_passes{2};
-    /// Candidate merges granted reclamation per sweep -- the batch
-    /// one truth walk must vouch for. A verified regression halves
-    /// it; smaller batches compound less model error per walk at the
-    /// cost of more sweeps.
-    int wire_reclaim_batch{64};
-    /// Engine-verified root-skew regression budget of the WHOLE pass
-    /// [ps]: a batch whose truth walk lands beyond the pre-pass skew
-    /// plus this is rolled back.
-    double wire_reclaim_skew_tol_ps{0.5};
 
     // --- robustness knobs -------------------------------------------
     /// Cooperative wall-clock deadline for the whole synthesize()
     /// call [ms]; <= 0 disables. On expiry the pipeline DEGRADES
     /// instead of failing: the committed merge prefix is finished
     /// deterministically (in-flight mazes close on their incumbent
-    /// meet), the refine/reclaim post-passes are skipped or rolled
-    /// back at a sweep boundary, and a valid fully-timed tree is
-    /// returned with the cut stage recorded in
-    /// SynthesisResult::diagnostics (see docs/robustness.md).
+    /// meet), the refine post-pass is skipped or stopped between
+    /// merges, and a valid fully-timed tree is returned with the cut
+    /// stage recorded in SynthesisResult::diagnostics (see
+    /// docs/robustness.md).
     double deadline_ms{0.0};
     /// External cancellation token, polled at bounded intervals in
-    /// the maze expansion, the level merge loop, and the refine /
-    /// reclaim sweeps. Tripping it triggers the same degradation
-    /// ladder as the deadline. May be null; when both this and
+    /// the maze expansion, the level merge loop, and the refine
+    /// sweeps. Tripping it triggers the same degradation ladder as
+    /// the deadline. May be null; when both this and
     /// deadline_ms are set the token also carries the deadline. The
     /// token must outlive the synthesize() call.
     util::CancelToken* cancel{nullptr};
@@ -176,11 +147,11 @@ struct SynthesisOptions {
     /// measure peak usage.
     util::MemoryBudget* memory_budget{nullptr};
     /// Crash-safe checkpointing (cts/checkpoint.h): when set,
-    /// synthesize() publishes a checksummed snapshot at each phase
-    /// boundary (post-merge, post-refine, per reclaim sweep) and, on
-    /// entry, resumes from a matching snapshot by skipping the
-    /// completed phases -- producing a tree bit-for-bit identical to
-    /// the uninterrupted run. Must outlive the call.
+    /// synthesize() publishes a checksummed snapshot once bottom-up
+    /// merging finishes and, on entry, resumes from a matching
+    /// snapshot by skipping the merge phase -- producing a tree
+    /// bit-for-bit identical to the uninterrupted run. Must outlive
+    /// the call.
     Checkpointer* checkpoint{nullptr};
 
     double assumed_slew() const {

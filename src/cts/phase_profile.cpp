@@ -46,7 +46,6 @@ Snapshot ThreadCollector::snapshot() const {
     s.balance_s = secs(Phase::balance);
     s.timing_s = secs(Phase::timing);
     s.refine_s = secs(Phase::refine);
-    s.reclaim_s = secs(Phase::reclaim);
     s.exec_idle_s = secs(Phase::exec_idle);
     const auto cnt = [&](Counter c) { return counters_[static_cast<int>(c)]; };
     s.maze_calls = cnt(Counter::maze_calls);
@@ -78,7 +77,6 @@ Snapshot snapshot() {
     s.balance_s = secs(g_phase_ns[static_cast<int>(Phase::balance)]);
     s.timing_s = secs(g_phase_ns[static_cast<int>(Phase::timing)]);
     s.refine_s = secs(g_phase_ns[static_cast<int>(Phase::refine)]);
-    s.reclaim_s = secs(g_phase_ns[static_cast<int>(Phase::reclaim)]);
     s.exec_idle_s = secs(g_phase_ns[static_cast<int>(Phase::exec_idle)]);
     const auto cnt = [](Counter c) {
         return g_counters[static_cast<int>(c)].load(std::memory_order_relaxed);

@@ -25,10 +25,9 @@ enum class Phase : int {
     balance = 1,
     timing = 2,
     refine = 3,
-    reclaim = 4,
-    exec_idle = 5,  ///< DAG-executor worker wait time (summed over workers)
+    exec_idle = 4,  ///< DAG-executor worker wait time (summed over workers)
 };
-inline constexpr int kPhaseCount = 6;
+inline constexpr int kPhaseCount = 5;
 
 enum class Counter : int {
     maze_calls = 0,       ///< maze_route invocations
@@ -49,7 +48,6 @@ struct Snapshot {
     double balance_s{0.0};
     double timing_s{0.0};
     double refine_s{0.0};
-    double reclaim_s{0.0};
     std::uint64_t maze_calls{0};
     std::uint64_t c2f_coarse_routes{0};
     std::uint64_t c2f_refined{0};

@@ -12,7 +12,9 @@
 #include "cts/incremental_timing.h"
 #include "cts/maze.h"
 #include "cts/phase_profile.h"
-#include "cts/refine_common.h"
+#include "cts/timing.h"
+#include "delaylib/eval_cache.h"
+#include "geom/point.h"
 #include "util/dag_executor.h"
 #include "util/thread_pool.h"
 
@@ -20,25 +22,158 @@ namespace ctsim::cts {
 
 namespace {
 
-using refine_detail::ArrivalWindows;
-using refine_detail::MergeSide;
-using refine_detail::read_side;
+/// One side of a merge-route-shaped merge: the isolation buffer at
+/// the merge point and the stage wire below it (the balance knob).
+/// Plain values, never references -- snaking reallocates the arena.
+struct MergeSide {
+    int iso{-1};    ///< isolation buffer (direct child of the merge)
+    int knob{-1};   ///< iso's only child; its parent wire is the knob
+    int btype{0};   ///< iso's buffer type
+    int load{0};    ///< load type the stage wire drives
+    double wire{0.0};  ///< current electrical stage-wire length
+    double lo{0.0};    ///< geometric lower bound of the knob
+    double hi{0.0};    ///< slew-limited upper bound of the knob
+};
+
+/// Read `iso`'s side of a merge into `out`; false when the node is
+/// not merge-route shaped (not a buffer with exactly one child).
+bool read_side(const ClockTree& tree, const delaylib::DelayModel& model,
+               delaylib::EvalCache& ec, int iso, MergeSide& out) {
+    const TreeNode& b = tree.node(iso);
+    if (b.kind != NodeKind::buffer || b.children.size() != 1) return false;
+    out.iso = iso;
+    out.btype = b.buffer_type;
+    out.knob = b.children[0];
+    out.wire = tree.node(out.knob).parent_wire_um;
+    out.load = model.load_type_for_cap(
+        tree.root_input_cap_ff(out.knob, model.technology(), model.buffers()));
+    out.lo = geom::manhattan(b.pos, tree.node(out.knob).pos);
+    out.hi = std::max(out.lo, ec.max_feasible_run(out.btype, out.load));
+    return true;
+}
+
+/// Root-frame arrival windows: per node, [min, max] over the sink
+/// arrivals below it as reported by ONE engine truth walk from the
+/// analysis root. Moves update the windows incrementally with their
+/// model-predicted shift; the next sweep's walk replaces every
+/// prediction with engine truth. Measuring imbalances in the root
+/// frame (instead of re-querying each merge at the assumed slew)
+/// keeps the engine's component keys stable -- per-merge root_timing
+/// queries re-key every component twice per sweep, which costs more
+/// than the whole pass.
+///
+/// The dirty marks implement the later-sweep skip: a merge whose
+/// subtree saw no move since it last measured in-tolerance keeps its
+/// imbalance to first order -- root-frame arrivals of an untouched
+/// subtree shift by COMMON ancestor-stage terms, which cancel in the
+/// two-sided difference; the residual is ancestor-trim slew drift
+/// into the subtree, bounded well under the settle band (and buffer
+/// swaps, whose slew kick is NOT small, explicitly dirty their whole
+/// subtree). Sweeps > 1 therefore revisit only the spine of merges a
+/// bump walked through.
+struct ArrivalWindows {
+    std::vector<double> mn, mx;
+    std::vector<int> preorder;  // scratch: root-first traversal
+    /// bump() sets the whole ancestor path of a move dirty; rebuild()
+    /// PRESERVES existing marks across sweeps.
+    std::vector<char> dirty;
+
+    void rebuild(const ClockTree& tree, int root, const TimingReport& rep) {
+        constexpr double kInf = std::numeric_limits<double>::infinity();
+        mn.assign(tree.size(), kInf);
+        mx.assign(tree.size(), -kInf);
+        dirty.resize(tree.size(), 1);  // marks persist across sweeps
+        for (const SinkTiming& s : rep.sinks) {
+            mn[s.node] = s.arrival_ps;
+            mx[s.node] = s.arrival_ps;
+        }
+        preorder.clear();
+        preorder.push_back(root);
+        for (std::size_t i = 0; i < preorder.size(); ++i)
+            for (int c : tree.node(preorder[i]).children) preorder.push_back(c);
+        // Reversed preorder visits children before parents.
+        for (std::size_t i = preorder.size(); i-- > 1;) {
+            const int n = preorder[i];
+            const int p = tree.node(n).parent;
+            if (p < 0) continue;
+            mn[p] = std::min(mn[p], mn[n]);
+            mx[p] = std::max(mx[p], mx[n]);
+        }
+    }
+
+    /// Shift the whole window of `node` by `delta_ps` (a stage above
+    /// it got slower/faster), re-fold the ancestor windows and mark
+    /// the whole ancestor path dirty. Descendant windows are NOT
+    /// touched: deepest-first sweeps read them before any ancestor
+    /// moves.
+    void bump(const ClockTree& tree, int node, double delta_ps) {
+        mn[node] += delta_ps;
+        mx[node] += delta_ps;
+        for (int a = tree.node(node).parent; a >= 0; a = tree.node(a).parent) {
+            dirty[a] = 1;
+            double nmn = std::numeric_limits<double>::infinity();
+            double nmx = -std::numeric_limits<double>::infinity();
+            for (int c : tree.node(a).children) {
+                nmn = std::min(nmn, mn[c]);
+                nmx = std::max(nmx, mx[c]);
+            }
+            mn[a] = nmn;
+            mx[a] = nmx;
+        }
+    }
+};
+
+/// Merge nodes of the subtree at `root`, deepest-first (children
+/// settle before their parents fold their windows), ties by node id
+/// for determinism. Entries are (-depth, id), sorted.
+std::vector<std::pair<int, int>> merges_deepest_first(const ClockTree& tree, int root) {
+    std::vector<std::pair<int, int>> merges;  // (-depth, id)
+    std::vector<std::pair<int, int>> dfs{{root, 0}};
+    while (!dfs.empty()) {
+        const auto [n, depth] = dfs.back();
+        dfs.pop_back();
+        if (tree.node(n).kind == NodeKind::merge) merges.push_back({-depth, n});
+        for (int c : tree.node(n).children) dfs.push_back({c, depth + 1});
+    }
+    std::sort(merges.begin(), merges.end());
+    return merges;
+}
+
+/// For each entry of `merges` (a merges_deepest_first list over the
+/// subtree at `root`), the INDEX within `merges` of its nearest
+/// ancestor merge, or -1 at the top. This is the dependency relation
+/// the DAG sweep hangs its edges on: everything a merge's decision
+/// reads -- its children's arrival windows, its own dirty mark, its
+/// side-chain tree state -- is written only by merges on its own
+/// spine, and the nearest-ancestor edges order exactly those
+/// (transitively, all descendants commit before a merge plans). An
+/// ancestor is strictly shallower, so the edge always points from a
+/// lower index to a higher one: valid DagExecutor edges by
+/// construction.
+std::vector<int> nearest_ancestor_merge(const ClockTree& tree, int root,
+                                        const std::vector<std::pair<int, int>>& merges) {
+    std::vector<int> index_of(tree.size(), -1);
+    for (std::size_t i = 0; i < merges.size(); ++i)
+        index_of[merges[i].second] = static_cast<int>(i);
+    std::vector<int> dep(merges.size(), -1);
+    for (std::size_t i = 0; i < merges.size(); ++i) {
+        const int n = merges[i].second;
+        if (n == root) continue;
+        for (int p = tree.node(n).parent; p >= 0; p = tree.node(p).parent) {
+            if (index_of[p] >= 0) {
+                dep[i] = index_of[p];
+                break;
+            }
+            if (p == root) break;
+        }
+    }
+    return dep;
+}
 
 /// A sweep that applies no move against an imbalance above this [ps]
 /// is a fixed point: bottom-up merging already accepted residuals of
 /// this size, and later sweeps could only chase stage-model noise.
 constexpr double kSettlePs = 0.5;
-
-// Root-frame arrival windows (refine_common.h). The dirty marks
-// implement the later-sweep skip: a merge whose subtree saw no move
-// since it last measured in-tolerance keeps its imbalance to first
-// order -- root-frame arrivals of an untouched subtree shift by
-// COMMON ancestor-stage terms, which cancel in the two-sided
-// difference; the residual is ancestor-trim slew drift into the
-// subtree, bounded well under the settle band (and buffer swaps,
-// whose slew kick is NOT small, explicitly dirty their whole
-// subtree). Sweeps > 1 therefore revisit only the spine of merges a
-// bump walked through; rebuild() preserves the marks across sweeps.
 
 // Each merge's re-balance is split into a pure PLAN (reads the
 // settled windows and its own side chains, records edits -- the DAG
@@ -110,8 +245,15 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
     // Monotone-increasing bisection: the w in [wlo, whi] whose stage
     // delay lands on `target`.
     const auto solve = [&](const MergeSide& s, double wlo, double whi, double target) {
-        return refine_detail::solve_stage_wire(ec, s.btype, s.load, wlo, whi, target,
-                                               opt.binary_search_iters);
+        double lo = wlo, hi = whi;
+        for (int it = 0; it < opt.binary_search_iters; ++it) {
+            const double mid = 0.5 * (lo + hi);
+            if (sd(s.btype, s.load, mid) <= target)
+                lo = mid;
+            else
+                hi = mid;
+        }
+        return 0.5 * (lo + hi);
     };
     // Record a stage-wire move and return its model-predicted delay
     // shift [ps] (positive = this side got slower; 0 = no move).
@@ -140,7 +282,7 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
         bool applied = false;
         if (delta > tol) {
             // Close the gap by un-snaking the slow side first
-            // (reclaims wire), lengthening the fast side only for the
+            // (recovers wire), lengthening the fast side only for the
             // remainder.
             const double give = std::min(delta, give_max);
             if (give > 0.0) {
@@ -356,11 +498,10 @@ SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayMode
     // Merge nodes deepest-first; snaking never adds merge nodes, so
     // one list serves every sweep -- and since it never restructures
     // merge ancestry either, so does the dependency relation.
-    const std::vector<std::pair<int, int>> merges =
-        refine_detail::merges_deepest_first(tree, root);
+    const std::vector<std::pair<int, int>> merges = merges_deepest_first(tree, root);
     const bool parallel = pool != nullptr && pool->size() > 1 && merges.size() > 1;
     std::vector<int> deps;
-    if (parallel) deps = refine_detail::nearest_ancestor_merge(tree, root, merges);
+    if (parallel) deps = nearest_ancestor_merge(tree, root, merges);
 
     ArrivalWindows win;
     const int passes = std::max(1, opt.skew_refine_passes);

@@ -103,9 +103,9 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     };
 
     // Checkpoint/resume (cts/checkpoint.h): a valid snapshot of the
-    // SAME sinks and configuration lets the run skip its completed
-    // phases; everything it re-executes is deterministic, so the
-    // final tree is node-for-node the uninterrupted run's.
+    // SAME sinks and configuration lets the run skip the merge phase;
+    // refine is deterministic, so the final tree is node-for-node the
+    // uninterrupted run's.
     Checkpointer::Loaded resumed;
     bool have_resume = false;
     if (opt.checkpoint != nullptr) {
@@ -152,15 +152,15 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     // levels below -- and purity of the cached values keeps every path
     // bit-for-bit identical.
     // (A resumed run skips the merge loop entirely, so it never
-    // creates the persistent engine: the post-pass block builds a
-    // fresh one on the adopted tree, and engine purity makes its
-    // cached values bit-identical to the long-lived engine's.)
+    // creates the persistent engine: the refine step builds a fresh
+    // one on the adopted tree, and engine purity makes its cached
+    // values bit-identical to the long-lived engine's.)
     std::unique_ptr<IncrementalTiming> engine;
     if (!pool && !have_resume)
         engine = std::make_unique<IncrementalTiming>(res.tree, model,
                                                      synthesis_timing_options(opt));
     // The engine for one serial step on the shared tree (an H-structure
-    // check, a single-pair merge, the post-passes): the persistent
+    // check, a single-pair merge, the refine pass): the persistent
     // engine, or a fresh one per step when there is none.
     std::unique_ptr<IncrementalTiming> step_engine;
     const auto serial_engine = [&]() -> IncrementalTiming& {
@@ -185,7 +185,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         // Memory ladder, serial rung: retire the pool at the level
         // boundary. The workers' pooled label grids and scratch die
         // with their threads, and the remaining levels (plus the
-        // post-passes, which read the same pointer) run serially.
+        // refine pass, which reads the same pointer) run serially.
         if (pool != nullptr && ctx.memory_ladder != nullptr &&
             ctx.memory_ladder->at_least(MemoryRung::serial))
             pool.reset();
@@ -277,10 +277,10 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         res.root = roots[0];
         res.root_timing = timing.at(res.root);
     } else {
-        // Adopt the snapshot: the tree, the merge-phase outputs and
-        // the diagnostics accumulated before the cut. The move drops
-        // the fresh tree's ladder binding, so re-bind afterwards
-        // (charging the adopted nodes).
+        // Adopt the post-merge snapshot: the tree, the merge-phase
+        // outputs and the diagnostics accumulated before the cut. The
+        // move drops the fresh tree's ladder binding, so re-bind
+        // afterwards (charging the adopted nodes).
         res.tree = std::move(resumed.tree);
         if (ctx.memory_ladder != nullptr) res.tree.set_memory_ladder(ctx.memory_ladder);
         res.root = resumed.base.root;
@@ -289,27 +289,22 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         res.hstats = resumed.base.hstats;
         res.root_timing = resumed.base.root_timing;
         diag = resumed.base.diag;
-        diag.resumed_from = resumed.phase;
-        if (static_cast<int>(resumed.phase) >=
-            static_cast<int>(CheckpointPhase::post_refine))
-            res.refine = resumed.base.refine;
+        diag.resumed_from = CheckpointPhase::post_merge;
     }
 
     // Degradation ladder (docs/robustness.md): a trip during merging
     // still finishes every merge of the committed prefix -- degraded
     // mazes stop at their incumbent, so the tree always reaches a
-    // single, fully-timed root -- then skips both post-passes. A trip
-    // inside a post-pass stops it at its own safe boundary (between
-    // refine merges; reclaim rolls the open sweep back wholesale).
-    // A resumed run did no merging, so a pre-tripped token degrades
-    // it inside the post-passes instead.
-    const bool tripped_before_passes =
+    // single, fully-timed root -- then skips the refine post-pass. A
+    // trip inside refine stops it between merges. A resumed run did
+    // no merging, so a pre-tripped token degrades it inside refine
+    // instead.
+    const bool tripped_during_merge =
         !have_resume && opt.cancel && opt.cancel->cancelled();
-    if (tripped_before_passes) {
+    if (tripped_during_merge) {
         diag.deadline_hit = true;
         diag.degraded_at = DegradeStage::merging;
         diag.refine_skipped = opt.skew_refine;
-        diag.reclaim_skipped = opt.wire_reclaim;
         profile::count_event(profile::Counter::deadline_trips);
     }
 
@@ -317,79 +312,33 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     // NOMINALLY: a deadline-degraded prefix is a valid tree but not
     // the one the uninterrupted run would produce, so it must never
     // seed a resume. Resumed runs skip the save (the file already
-    // holds this state or a later phase) but re-install the base so
-    // reclaim's sweep snapshots keep publishing the full state.
-    if (opt.checkpoint != nullptr && !tripped_before_passes) {
+    // holds this state).
+    if (opt.checkpoint != nullptr && !have_resume && !tripped_during_merge) {
         CheckpointBase base;
         base.root = res.root;
         base.source_buffer = res.source_buffer;
         base.levels = res.levels;
         base.hstats = res.hstats;
         base.root_timing = res.root_timing;
-        base.refine = res.refine;
         base.diag = diag;
-        opt.checkpoint->set_base(base);
-        if (!have_resume)
-            (void)opt.checkpoint->save(CheckpointPhase::post_merge, res.tree);
+        (void)opt.checkpoint->save(res.tree, base);
     }
 
-    // Top-down post-passes on the finished tree: skew refinement
-    // (skew_refine.h), then engine-verified wirelength reclamation
-    // (wire_reclaim.h) on the same engine -- reclamation trusts the
-    // engine to verify its batches, so the engine must have seen
-    // every refinement edit. Serial runs reuse the persistent engine;
-    // pooled and resumed runs build a fresh one here. Pooled runs also
-    // hand both passes the pool: their deepest-first sweeps run over
-    // the DAG executor (plan concurrently, apply in rank order -- see
-    // docs/parallelism.md), and engine purity plus rank-ordered
-    // application keeps the result bit-for-bit identical across
-    // thread counts.
-    if ((opt.skew_refine || opt.wire_reclaim) && !tripped_before_passes) {
+    // Top-down skew refinement (skew_refine.h) on the finished tree.
+    // Serial runs reuse the persistent engine; pooled and resumed runs
+    // build a fresh one here. Pooled runs also hand the pass the pool:
+    // its deepest-first sweeps run over the DAG executor (plan
+    // concurrently, apply in rank order -- see docs/parallelism.md),
+    // and engine purity plus rank-ordered application keeps the
+    // result bit-for-bit identical across thread counts.
+    if (opt.skew_refine && !tripped_during_merge) {
         IncrementalTiming& eng = serial_engine();
-        // A snapshot at or past post_refine already holds the refine
-        // pass's output (adopted above), so the resumed run skips the
-        // pass itself.
-        const bool resumed_past_refine =
-            have_resume && static_cast<int>(resumed.phase) >=
-                               static_cast<int>(CheckpointPhase::post_refine);
-        if (opt.skew_refine && !resumed_past_refine)
-            res.refine = refine_skew(res.tree, res.root, model, opt, eng, pool.get());
+        res.refine = refine_skew(res.tree, res.root, model, opt, eng, pool.get());
         if (res.refine.cancelled) {
             diag.deadline_hit = true;
             diag.degraded_at = DegradeStage::refine;
             diag.refine_skipped = true;
-            diag.reclaim_skipped = opt.wire_reclaim;
             profile::count_event(profile::Counter::deadline_trips);
-        } else if (opt.wire_reclaim) {
-            // The refine pass completed nominally (or was adopted):
-            // refresh the checkpoint base with its stats and publish
-            // the post_refine boundary, unless the snapshot already
-            // sits there or deeper.
-            if (opt.checkpoint != nullptr) {
-                CheckpointBase base;
-                base.root = res.root;
-                base.source_buffer = res.source_buffer;
-                base.levels = res.levels;
-                base.hstats = res.hstats;
-                base.root_timing = res.root_timing;
-                base.refine = res.refine;
-                base.diag = diag;
-                opt.checkpoint->set_base(base);
-                if (!resumed_past_refine)
-                    (void)opt.checkpoint->save(CheckpointPhase::post_refine, res.tree);
-            }
-            const ReclaimCheckpoint* reclaim_resume =
-                have_resume && resumed.phase == CheckpointPhase::reclaim_sweep
-                    ? &resumed.reclaim
-                    : nullptr;
-            res.reclaim = reclaim_wire(res.tree, res.root, model, opt, eng, pool.get(),
-                                       reclaim_resume);
-            if (res.reclaim.cancelled) {
-                diag.deadline_hit = true;
-                diag.degraded_at = DegradeStage::reclaim;
-                diag.reclaim_skipped = true;
-                profile::count_event(profile::Counter::deadline_trips);
-            }
         }
         res.root_timing = eng.root_timing(res.root);
     }

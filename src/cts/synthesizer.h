@@ -28,7 +28,6 @@
 #include "cts/skew_refine.h"
 #include "cts/timing.h"
 #include "cts/topology.h"
-#include "cts/wire_reclaim.h"
 #include "delaylib/delay_model.h"
 
 namespace ctsim::cts {
@@ -40,16 +39,15 @@ struct SinkSpec {
 };
 
 /// Deepest pipeline stage a tripped deadline / CancelToken cut short
-/// (the stages run merging -> refine -> reclaim; everything before
-/// the cut completed normally, everything after was skipped).
-enum class DegradeStage : int { none = 0, merging, refine, reclaim };
+/// (the stages run merging -> refine; everything before the cut
+/// completed normally, everything after was skipped).
+enum class DegradeStage : int { none = 0, merging, refine };
 
 inline const char* degrade_stage_name(DegradeStage s) {
     switch (s) {
         case DegradeStage::none: return "none";
         case DegradeStage::merging: return "merging";
         case DegradeStage::refine: return "refine";
-        case DegradeStage::reclaim: return "reclaim";
     }
     return "unknown";
 }
@@ -65,8 +63,7 @@ struct SynthesisDiagnostics {
     DegradeStage degraded_at{DegradeStage::none};
     /// Merges whose maze expansion closed early on its incumbent.
     int degraded_routes{0};
-    bool refine_skipped{false};   ///< refine pass skipped or cut short
-    bool reclaim_skipped{false};  ///< reclaim pass skipped or cut short
+    bool refine_skipped{false};  ///< refine pass skipped or cut short
     /// Coarse-to-fine routes that fell back to the full grid -- the
     /// former silent counter, surfaced: count and first offending
     /// merge node so a report can point at the instance region.
@@ -99,8 +96,7 @@ struct SynthesisResult {
     int levels{0};
     HStructureStats hstats;
     RootTiming root_timing;  ///< pessimistic model timing at the root
-    SkewRefineStats refine;    ///< what the top-down refinement pass did
-    WireReclaimStats reclaim;  ///< what the wirelength reclamation pass did
+    SkewRefineStats refine;  ///< what the top-down refinement pass did
     SynthesisDiagnostics diagnostics;  ///< degradations and surfaced fallbacks
     double wire_length_um{0.0};
     int buffer_count{0};

@@ -52,7 +52,8 @@ void apply_options(const Json& obj, cts::SynthesisOptions& opt) {
             opt.slew_target_ps = finite_nonneg(v, "options.slew_target_ps");
         } else if (key == "grid_cells_per_dim") {
             const double d = require_number(v, "options.grid_cells_per_dim");
-            if (d < 4 || d > 4096) bad("options.grid_cells_per_dim out of range [4, 4096]");
+            if (d < 4 || d > 4096 || d != std::floor(d))
+                bad("options.grid_cells_per_dim must be an integer in [4, 4096]");
             opt.grid_cells_per_dim = static_cast<int>(d);
         } else if (key == "rng_seed") {
             opt.rng_seed = seed_value(v, "options.rng_seed");
@@ -74,8 +75,6 @@ void apply_options(const Json& obj, cts::SynthesisOptions& opt) {
             else bad("options.matching must be \"greedy_centroid\"|\"path_growing\"");
         } else if (key == "skew_refine") {
             opt.skew_refine = require_bool(v, "options.skew_refine");
-        } else if (key == "wire_reclaim") {
-            opt.wire_reclaim = require_bool(v, "options.wire_reclaim");
         } else if (key == "intelligent_sizing") {
             opt.intelligent_sizing = require_bool(v, "options.intelligent_sizing");
         } else if (key == "num_threads") {
@@ -242,7 +241,8 @@ Request parse_request(const std::string& line) {
             const Json* n = v.find("sinks");
             if (!n) bad("\"synthetic\" needs a \"sinks\" count");
             const double count = require_number(*n, "synthetic.sinks");
-            if (count < 1 || count > 10'000'000) bad("synthetic.sinks out of range");
+            if (count < 1 || count > 10'000'000 || count != std::floor(count))
+                bad("synthetic.sinks must be an integer in [1, 10000000]");
             req.synthetic_sinks = static_cast<int>(count);
             if (const Json* span = v.find("span_um")) {
                 req.synthetic_span_um = finite_nonneg(*span, "synthetic.span_um");

@@ -283,7 +283,6 @@ void ServeSession::run_job(Job& job) {
         out += ",\"degraded_at\":" + json_quote(cts::degrade_stage_name(d.degraded_at));
         out += ",\"degraded_routes\":" + std::to_string(d.degraded_routes);
         out += ",\"refine_skipped\":" + std::string(d.refine_skipped ? "true" : "false");
-        out += ",\"reclaim_skipped\":" + std::string(d.reclaim_skipped ? "true" : "false");
         out += ",\"c2f_fallbacks\":" + std::to_string(d.c2f_fallbacks);
         out += ",\"grid_coarsened_routes\":" + std::to_string(d.grid_coarsened_routes);
         out += ",\"memory_rung\":" + json_quote(cts::memory_rung_name(d.memory_rung));
@@ -295,7 +294,6 @@ void ServeSession::run_job(Job& job) {
         out += ",\"balance_s\":" + json_number(prof.balance_s);
         out += ",\"timing_s\":" + json_number(prof.timing_s);
         out += ",\"refine_s\":" + json_number(prof.refine_s);
-        out += ",\"reclaim_s\":" + json_number(prof.reclaim_s);
         out += ",\"maze_calls\":" + std::to_string(prof.maze_calls);
         out += "},\"queue_ms\":" + json_number(queue_ms);
         out += ",\"latency_ms\":" + json_number(ms_since(job.enqueued, finished));

@@ -2,7 +2,7 @@
 //
 // A CancelToken is polled (`checked()`) at bounded intervals inside
 // the expensive loops -- maze expansion pops, per-merge level work,
-// refine/reclaim sweep bodies -- and trips either
+// refine sweep bodies -- and trips either
 //   * explicitly (`cancel()`),
 //   * when a wall-clock deadline expires (`set_deadline_ms`), or
 //   * deterministically after a fixed number of polls (`trip_after`),

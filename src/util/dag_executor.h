@@ -2,7 +2,7 @@
 // commits.
 //
 // Replaces the level -> barrier -> commit shape of parallel synthesis
-// (and opens the previously serial refine/reclaim sweeps) with a
+// (and opens the previously serial refine sweeps) with a
 // dependency DAG: a node becomes runnable the moment everything it
 // depends on has been published, regardless of what unrelated
 // stragglers are doing.

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -91,7 +92,6 @@ CheckpointBase base_from(const SynthesisResult& res) {
     base.levels = res.levels;
     base.hstats = res.hstats;
     base.root_timing = res.root_timing;
-    base.refine = res.refine;
     base.diag = res.diagnostics;
     return base;
 }
@@ -110,7 +110,7 @@ TEST(Checkpoint, ResumeAfterCutMatchesUninterruptedRunNodeForNode) {
     const SynthesisResult want = synthesize(sinks, analytic(), opts());
 
     // Measure the run's total poll budget, then cut at points spread
-    // across merge, refine and the reclaim sweeps.
+    // across merge and refine.
     util::CancelToken probe;
     probe.trip_after(~std::uint64_t{0});
     SynthesisOptions po = opts();
@@ -140,9 +140,9 @@ TEST(Checkpoint, ResumeAfterCutMatchesUninterruptedRunNodeForNode) {
         const SynthesisResult res = synthesize(sinks, analytic(), o);
         expect_identical(res, want);
         // Early cuts legitimately leave no snapshot (the merge phase
-        // was still degraded); late cuts must resume.
+        // was still degraded); cuts inside refine must resume.
         if (n >= total - 1) {
-            EXPECT_NE(res.diagnostics.resumed_from, CheckpointPhase::none) << "n=" << n;
+            EXPECT_EQ(res.diagnostics.resumed_from, CheckpointPhase::post_merge) << "n=" << n;
         }
     }
 }
@@ -157,11 +157,11 @@ TEST(Checkpoint, ResumeSkipsCompletedPhases) {
     EXPECT_EQ(first.diagnostics.resumed_from, CheckpointPhase::none);
     ASSERT_TRUE(fs::exists(ck.path()));
 
-    // A full run leaves its last snapshot behind (the CLI clears it;
-    // the library does not). Rerunning resumes from it and must land
-    // on the identical tree -- merge and refine were skipped wholesale.
+    // A full run leaves its snapshot behind (the CLI clears it; the
+    // library does not). Rerunning resumes from it and must land on
+    // the identical tree -- merging was skipped wholesale.
     const SynthesisResult again = synthesize(sinks, analytic(), o);
-    EXPECT_NE(again.diagnostics.resumed_from, CheckpointPhase::none);
+    EXPECT_EQ(again.diagnostics.resumed_from, CheckpointPhase::post_merge);
     expect_identical(again, first);
     EXPECT_EQ(again.levels, first.levels);
     EXPECT_EQ(again.hstats.flips, first.hstats.flips);
@@ -257,6 +257,53 @@ TEST(Checkpoint, DifferentSinksRejectTheSnapshotAsStale) {
     EXPECT_EQ(res.diagnostics.resumed_from, CheckpointPhase::none);
 }
 
+TEST(Checkpoint, VersionOneSnapshotsAreTreatedAsAbsent) {
+    // The v1 format carried post-merge pass state and could also sit
+    // at two later phases (2 and 3) that no longer exist. A v1 file
+    // -- even one with a valid checksum and a matching fingerprint --
+    // must be ignored, and the run must start fresh.
+    const auto sinks = random_sinks(24, 12000.0, 79);
+    TempDir tmp("ctsim_ckpt_v1");
+    Checkpointer ck(tmp.str());
+    SynthesisOptions o = opts();
+    o.checkpoint = &ck;
+    const SynthesisResult want = synthesize(sinks, analytic(), o);
+    const std::string current = slurp(ck.path());
+
+    // Control: the file as written resumes.
+    EXPECT_EQ(synthesize(sinks, analytic(), o).diagnostics.resumed_from,
+              CheckpointPhase::post_merge);
+
+    // Relabel it as v1 at each v1 phase, re-checksummed so that only
+    // the version tells it apart.
+    const std::size_t head_end = current.find('\n');
+    const std::size_t body_start = current.find('\n', head_end + 1) + 1;
+    ASSERT_NE(head_end, std::string::npos);
+    ASSERT_GT(body_start, head_end + 1);
+    const std::string payload = current.substr(body_start);
+    const std::size_t ph = payload.find("\nphase ");
+    ASSERT_NE(ph, std::string::npos);
+    const std::size_t ph_end = payload.find('\n', ph + 1);
+    for (int phase : {1, 2, 3}) {
+        const std::string body = payload.substr(0, ph) + "\nphase " + std::to_string(phase) +
+                                 payload.substr(ph_end);
+        std::uint64_t h = 1469598103934665603ULL;  // FNV-1a, as the loader checks
+        for (const unsigned char c : body) {
+            h ^= c;
+            h *= 1099511628211ULL;
+        }
+        char sum[24];
+        std::snprintf(sum, sizeof(sum), "%016llx", static_cast<unsigned long long>(h));
+        {
+            std::ofstream out(ck.path(), std::ios::binary | std::ios::trunc);
+            out << "ctsim-checkpoint-v1\nchecksum " << sum << '\n' << body;
+        }
+        const SynthesisResult res = synthesize(sinks, analytic(), o);
+        EXPECT_EQ(res.diagnostics.resumed_from, CheckpointPhase::none) << "phase " << phase;
+        expect_identical(res, want);
+    }
+}
+
 TEST(Checkpoint, ThreadCountIsNotPartOfTheFingerprint) {
     // The pipeline is bit-identical across thread counts, so a
     // snapshot from a 1-thread run must resume under 4 threads (and
@@ -278,7 +325,7 @@ TEST(Checkpoint, ThreadCountIsNotPartOfTheFingerprint) {
 
 // ---- direct round-trip exactness -----------------------------------------
 
-TEST(Checkpoint, ReclaimSnapshotRoundTripsBitExactDoubles) {
+TEST(Checkpoint, PostMergeSnapshotRoundTripsBitExactDoubles) {
     const auto sinks = random_sinks(12, 8000.0, 67);
     SynthesisOptions o = opts();
     const SynthesisResult res = synthesize(sinks, analytic(), o);
@@ -286,32 +333,20 @@ TEST(Checkpoint, ReclaimSnapshotRoundTripsBitExactDoubles) {
     TempDir tmp("ctsim_ckpt_roundtrip");
     Checkpointer ck(tmp.str());
     ck.bind(sinks, o);
-    const CheckpointBase base = base_from(res);
-    ck.set_base(base);
-
-    ReclaimCheckpoint rc;
-    rc.next_sweep = 2;
-    rc.batch = 7;
-    rc.skew_budget_ps = 0.1 + 0.2;  // not exactly representable: must
-    rc.slew_budget_ps = 1.0 / 3.0;  // round-trip as raw bit patterns
-    rc.stats.passes = 2;
-    rc.stats.reclaimed_um = 1234.5678901234567;
-    ASSERT_TRUE(ck.save(CheckpointPhase::reclaim_sweep, res.tree, &rc).ok());
+    CheckpointBase base = base_from(res);
+    base.root_timing.max_ps = 0.1 + 0.2;  // not exactly representable: must
+    base.root_timing.min_ps = 1.0 / 3.0;  // round-trip as raw bit patterns
+    ASSERT_TRUE(ck.save(res.tree, base).ok());
 
     Checkpointer::Loaded got;
     ASSERT_TRUE(ck.load(got));
-    EXPECT_EQ(got.phase, CheckpointPhase::reclaim_sweep);
     EXPECT_EQ(got.base.root, base.root);
     EXPECT_EQ(got.base.source_buffer, base.source_buffer);
     EXPECT_EQ(got.base.levels, base.levels);
-    EXPECT_EQ(got.reclaim.next_sweep, 2);
-    EXPECT_EQ(got.reclaim.batch, 7);
+    EXPECT_EQ(got.base.hstats.checks, base.hstats.checks);
     // EXPECT_EQ, not EXPECT_DOUBLE_EQ: the contract is exact bits.
-    EXPECT_EQ(got.reclaim.skew_budget_ps, rc.skew_budget_ps);
-    EXPECT_EQ(got.reclaim.slew_budget_ps, rc.slew_budget_ps);
-    EXPECT_EQ(got.reclaim.stats.passes, rc.stats.passes);
-    EXPECT_EQ(got.reclaim.stats.reclaimed_um, rc.stats.reclaimed_um);
-    EXPECT_EQ(got.base.root_timing.max_ps, res.root_timing.max_ps);
+    EXPECT_EQ(got.base.root_timing.max_ps, base.root_timing.max_ps);
+    EXPECT_EQ(got.base.root_timing.min_ps, base.root_timing.min_ps);
 
     ASSERT_EQ(got.tree.size(), res.tree.size());
     for (int i = 0; i < res.tree.size(); ++i) {
@@ -340,8 +375,7 @@ TEST(Checkpoint, SinkNamesWithSpacesRoundTrip) {
     TempDir tmp("ctsim_ckpt_names");
     Checkpointer ck(tmp.str());
     ck.bind(sinks, o);
-    ck.set_base(base_from(res));
-    ASSERT_TRUE(ck.save(CheckpointPhase::post_merge, res.tree).ok());
+    ASSERT_TRUE(ck.save(res.tree, base_from(res)).ok());
     Checkpointer::Loaded got;
     ASSERT_TRUE(ck.load(got));
     ASSERT_EQ(got.tree.size(), res.tree.size());
@@ -360,13 +394,16 @@ TEST(Checkpoint, FailedPublishKeepsOldSnapshotAndLeavesNoStrayFiles) {
     TempDir tmp("ctsim_ckpt_publish_fault");
     Checkpointer ck(tmp.str());
     ck.bind(sinks, o);
-    ck.set_base(base_from(res));
-    ASSERT_TRUE(ck.save(CheckpointPhase::post_merge, res.tree).ok());
+    const CheckpointBase base = base_from(res);
+    ASSERT_TRUE(ck.save(res.tree, base).ok());
     const std::string before = slurp(ck.path());
     ASSERT_FALSE(before.empty());
 
+    // A second publish with different content fails on every retry.
+    CheckpointBase newer = base;
+    newer.levels += 1;
     FaultInjector::instance().arm(FaultSite::checkpoint_publish_fail, 3, 1.0);
-    const util::Status s = ck.save(CheckpointPhase::post_refine, res.tree);
+    const util::Status s = ck.save(res.tree, newer);
     FaultInjector::instance().disarm_all();
     EXPECT_FALSE(s.ok());
     // All retry attempts burned the probe.
@@ -374,10 +411,10 @@ TEST(Checkpoint, FailedPublishKeepsOldSnapshotAndLeavesNoStrayFiles) {
     EXPECT_EQ(slurp(ck.path()), before);  // previous snapshot intact
     EXPECT_EQ(tmp.entries(), 1);          // and zero stray temp files
 
-    // The surviving snapshot still loads (and still says post_merge).
+    // The surviving snapshot still loads, with the first save's state.
     Checkpointer::Loaded got;
     ASSERT_TRUE(ck.load(got));
-    EXPECT_EQ(got.phase, CheckpointPhase::post_merge);
+    EXPECT_EQ(got.base.levels, base.levels);
 }
 
 TEST(Checkpoint, PublishFaultSweepThroughSynthesisLeavesNoStrayFiles) {

@@ -80,32 +80,21 @@ TEST(ParallelSynth, OddRootCountAndSeedPassthrough) {
 
 TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
     // Every pipeline phase that can run over the executor -- merge
-    // DAG alone, plus the refine sweep, plus the reclaim sweep -- at
-    // every interesting width (1 = inline executor, 2/3 = contended
-    // lane, 0 = hardware width): each cell must be bit-identical to
-    // the single-threaded run of the SAME phase set, so a determinism
-    // leak is attributed to a phase, not just to "parallel".
+    // DAG alone, plus the refine sweep -- at every interesting width
+    // (1 = inline executor, 2/3 = contended lane, 0 = hardware
+    // width): each cell must be bit-identical to the single-threaded
+    // run of the SAME phase set, so a determinism leak is attributed
+    // to a phase, not just to "parallel".
     const auto sinks = random_sinks(40, 21000.0, 11);
-    struct PhaseSet {
-        const char* name;
-        bool refine, reclaim;
-    };
-    const PhaseSet phase_sets[] = {
-        {"merge-only", false, false},
-        {"merge+refine", true, false},
-        {"merge+reclaim", false, true},
-        {"all", true, true},
-    };
-    for (const PhaseSet& ps : phase_sets) {
+    for (bool refine : {false, true}) {
         SynthesisOptions so = opts(1);
-        so.skew_refine = ps.refine;
-        so.wire_reclaim = ps.reclaim;
+        so.skew_refine = refine;
         const auto serial = synthesize(sinks, analytic(), so);
         for (int threads : {1, 2, 3, 0}) {
             SynthesisOptions o = opts(threads);
-            o.skew_refine = ps.refine;
-            o.wire_reclaim = ps.reclaim;
-            SCOPED_TRACE(std::string(ps.name) + " threads=" + std::to_string(threads));
+            o.skew_refine = refine;
+            SCOPED_TRACE(std::string(refine ? "merge+refine" : "merge-only") +
+                         " threads=" + std::to_string(threads));
             expect_identical(serial, synthesize(sinks, analytic(), o));
         }
     }
@@ -138,22 +127,21 @@ TEST(ParallelSynth, HStructureModesMatchSerial) {
     }
 }
 
-TEST(ParallelSynth, PostPassDeadlineCutsMatchSerial) {
+TEST(ParallelSynth, RefineDeadlineCutsMatchSerial) {
     // Deadline-cut x DAG interaction. Counted polls inside the merge
     // phase are consumed by concurrently running routes, so per-poll
     // attribution there is schedule-dependent (cts_deadline_test pins
     // the serial contract) -- but their TOTAL is a sum over routes,
     // order-independent. Cuts landing past the merge phase hit the
-    // refine lane's rank-ordered polls or reclaim's sweep-boundary
-    // polls, so the degraded tree must be bit-identical to the serial
-    // run cut at the same count, at any width.
+    // refine lane's rank-ordered polls, so the degraded tree must be
+    // bit-identical to the serial run cut at the same count, at any
+    // width.
     const auto sinks = random_sinks(40, 21000.0, 11);
 
     util::CancelToken mprobe;
     mprobe.trip_after(~std::uint64_t{0});
     SynthesisOptions mo = opts(1);
     mo.skew_refine = false;
-    mo.wire_reclaim = false;
     mo.cancel = &mprobe;
     (void)synthesize(sinks, analytic(), mo);
     const std::uint64_t merge_polls = mprobe.checks();
@@ -164,7 +152,7 @@ TEST(ParallelSynth, PostPassDeadlineCutsMatchSerial) {
     po.cancel = &probe;
     (void)synthesize(sinks, analytic(), po);
     const std::uint64_t total = probe.checks();
-    ASSERT_GT(total, merge_polls + 2) << "post-passes consumed no polls";
+    ASSERT_GT(total, merge_polls + 2) << "refine consumed no polls";
 
     for (std::uint64_t n :
          {merge_polls + 1, merge_polls + (total - merge_polls) / 2, total - 1}) {

@@ -1,8 +1,8 @@
 // Schedule-fuzzing determinism suite for the DAG-executor pipeline
 // (docs/parallelism.md): DagExecutor::set_test_fuzz perturbs every
 // pop/steal/push decision of every executor in the process with a
-// seeded RNG stream, so each seed drives the merge, refine and
-// reclaim sweeps through a different interleaving of run phases.
+// seeded RNG stream, so each seed drives the merge and refine
+// sweeps through a different interleaving of run phases.
 // The determinism contract says the OUTPUT is a pure function of the
 // graph -- commits publish in rank order no matter what the schedule
 // does -- so every seed at every width must reproduce the serial tree
@@ -59,19 +59,13 @@ void expect_identical(const SynthesisResult& a, const SynthesisResult& b,
     }
     // The pass stats pin the DECISION SEQUENCE, not just the end
     // state: a schedule that reached the same tree through different
-    // refine/reclaim moves is still a determinism bug.
+    // refine moves is still a determinism bug.
     EXPECT_EQ(a.refine.passes, b.refine.passes) << what;
     EXPECT_EQ(a.refine.merges_visited, b.refine.merges_visited) << what;
     EXPECT_EQ(a.refine.trims, b.refine.trims) << what;
     EXPECT_EQ(a.refine.buffer_swaps, b.refine.buffer_swaps) << what;
     EXPECT_EQ(a.refine.snake_stages, b.refine.snake_stages) << what;
     EXPECT_DOUBLE_EQ(a.refine.final_skew_ps, b.refine.final_skew_ps) << what;
-    EXPECT_EQ(a.reclaim.passes, b.reclaim.passes) << what;
-    EXPECT_EQ(a.reclaim.batches_accepted, b.reclaim.batches_accepted) << what;
-    EXPECT_EQ(a.reclaim.batches_rolled_back, b.reclaim.batches_rolled_back) << what;
-    EXPECT_EQ(a.reclaim.trims, b.reclaim.trims) << what;
-    EXPECT_EQ(a.reclaim.snake_removals, b.reclaim.snake_removals) << what;
-    EXPECT_DOUBLE_EQ(a.reclaim.reclaimed_um, b.reclaim.reclaimed_um) << what;
 }
 
 constexpr unsigned kSeeds = 20;
@@ -110,21 +104,19 @@ TEST(ScheduleFuzz, OddInstanceMatchesSerialUnderAllSchedules) {
 // documents) -- but the TOTAL a completed merge phase consumes is a
 // sum over routes, hence order-independent. Past that boundary the
 // poll sequence is deterministic again by construction: the refine
-// lane polls once per merge in rank order (the serial visit order)
-// and reclaim polls at sweep boundaries on the driver thread. A
-// token tripping after n > merge-phase polls must therefore cut the
+// lane polls once per merge in rank order (the serial visit order).
+// A token tripping after n > merge-phase polls must therefore cut the
 // SAME merge -- and degrade to the same tree -- at any width, under
 // any schedule.
-TEST(ScheduleFuzz, PostPassDeadlineCutsLandIdenticallyUnderAllSchedules) {
+TEST(ScheduleFuzz, RefineDeadlineCutsLandIdenticallyUnderAllSchedules) {
     const auto sinks = random_sinks(33, 16000.0, 29);
 
-    // The merge-phase poll budget: probe with the post-passes off
-    // (they do not change the merge phase, only stop after it).
+    // The merge-phase poll budget: probe with refine off (it does not
+    // change the merge phase, only runs after it).
     util::CancelToken mprobe;
     mprobe.trip_after(~std::uint64_t{0});
     SynthesisOptions mo = opts(1);
     mo.skew_refine = false;
-    mo.wire_reclaim = false;
     mo.cancel = &mprobe;
     (void)synthesize(sinks, analytic(), mo);
     const std::uint64_t merge_polls = mprobe.checks();
@@ -135,7 +127,7 @@ TEST(ScheduleFuzz, PostPassDeadlineCutsLandIdenticallyUnderAllSchedules) {
     po.cancel = &probe;
     (void)synthesize(sinks, analytic(), po);
     const std::uint64_t total = probe.checks();
-    ASSERT_GT(total, merge_polls + 2) << "post-passes consumed no polls";
+    ASSERT_GT(total, merge_polls + 2) << "refine consumed no polls";
 
     for (std::uint64_t n :
          {merge_polls + 1, merge_polls + (total - merge_polls) / 2, total}) {

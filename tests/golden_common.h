@@ -158,10 +158,11 @@ inline GoldenRecord measure_golden(const GoldenInstance& inst) {
     GoldenRecord rec;
     rec.wirelength_um = res.wire_length_um;
     rec.buffers = res.buffer_count;
-    // Live nodes below the root, not the arena size: wire_reclaim's
-    // ballast removals orphan nodes in the arena, and the pin must
-    // stay consistent with the buffer/wirelength metrics (which
-    // already count only below the root).
+    // Live nodes below the root, not the arena size: H-structure
+    // re-pairing leaves the discarded candidate routes orphaned in the
+    // arena, and the pin must stay consistent with the
+    // buffer/wirelength metrics (which already count only below the
+    // root).
     rec.tree_nodes = static_cast<int>(res.tree.subtree(res.root).size());
     const cts::RootTiming honest =
         cts::subtree_timing(res.tree, res.root, fitted_quick(), opt.assumed_slew(),

@@ -111,12 +111,16 @@ TEST(ServeRequestTest, StatsAndShutdownRejectSynthesisFields) {
     EXPECT_THROW(serve::parse_request(R"({"type":"stats","bench":"r1"})"), util::Error);
 }
 
-void expect_invalid(const std::string& line) {
+/// `line` must fail with a typed invalid_input whose message contains
+/// `want`.
+void expect_invalid(const std::string& line, const std::string& want = "") {
     try {
         serve::parse_request(line);
         FAIL() << "expected invalid_input for: " << line;
     } catch (const util::Error& e) {
         EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input) << line;
+        EXPECT_NE(e.status().message().find(want), std::string::npos)
+            << e.status().message();
     }
 }
 
@@ -146,6 +150,25 @@ TEST(ServeRequestTest, SeedsMustBeExact32BitIntegers) {
               4294967295u);
 }
 
+TEST(ServeRequestTest, CountsMustBeIntegers) {
+    // A fractional count is a client bug, not a request for the
+    // truncated value: it gets the same typed error as
+    // scenario.samples, naming the field.
+    expect_invalid(R"({"synthetic":{"sinks":2.5}})", "synthetic.sinks");
+    expect_invalid(R"({"synthetic":{"sinks":100.000001}})", "synthetic.sinks");
+    expect_invalid(R"({"bench":"r1","options":{"grid_cells_per_dim":45.5}})",
+                   "options.grid_cells_per_dim");
+    expect_invalid(R"({"bench":"r1","options":{"grid_cells_per_dim":3}})",
+                   "options.grid_cells_per_dim");
+    // Integral values written as decimals are still integers.
+    EXPECT_EQ(serve::parse_request(R"({"synthetic":{"sinks":100.0}})").synthetic_sinks,
+              100);
+    EXPECT_EQ(
+        serve::parse_request(R"({"bench":"r1","options":{"grid_cells_per_dim":4e1}})")
+            .options.grid_cells_per_dim,
+        40);
+}
+
 TEST(ServeRequestTest, NumThreadsIsNotATenantKnob) {
     // The pool owns parallelism; a tenant asking for threads must get
     // a typed error, not silent acceptance.
@@ -153,25 +176,17 @@ TEST(ServeRequestTest, NumThreadsIsNotATenantKnob) {
 }
 
 TEST(ServeRequestTest, RemovedKnobsGetTheTypedUnknownKeyErrors) {
-    // The slew quantum and the pareto sweep were removed from the
-    // wire without a compat shim: old clients get the same typed
-    // invalid_input as any other unknown key or mode.
-    const auto expect_message = [](const std::string& line, const std::string& want) {
-        try {
-            serve::parse_request(line);
-            FAIL() << "expected invalid_input for: " << line;
-        } catch (const util::Error& e) {
-            EXPECT_EQ(e.status().code(), util::StatusCode::invalid_input) << line;
-            EXPECT_NE(e.status().message().find(want), std::string::npos)
-                << e.status().message();
-        }
-    };
-    expect_message(R"({"bench":"r1","options":{"timing_slew_quantum_ps":0.25}})",
+    // The slew quantum, the pareto sweep and wire reclamation were
+    // removed from the wire without a compat shim: old clients get the
+    // same typed invalid_input as any other unknown key or mode.
+    expect_invalid(R"({"bench":"r1","options":{"timing_slew_quantum_ps":0.25}})",
                    "unknown options key \"timing_slew_quantum_ps\"");
+    expect_invalid(R"({"bench":"r1","options":{"wire_reclaim":false}})",
+                   "unknown options key \"wire_reclaim\"");
     const std::string head =
         R"({"type":"scenario","schema_version":2,"synthetic":{"sinks":20},"scenario":)";
-    expect_message(head + R"({"mode":"pareto_sweep"}})", "scenario.mode must be");
-    expect_message(head + R"({"mode":"nominal","pareto_tols":[0.5]}})",
+    expect_invalid(head + R"({"mode":"pareto_sweep"}})", "scenario.mode must be");
+    expect_invalid(head + R"({"mode":"nominal","pareto_tols":[0.5]}})",
                    "unknown scenario key \"pareto_tols\"");
 }
 

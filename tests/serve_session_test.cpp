@@ -73,12 +73,11 @@ TEST(ServeSessionTest, ConcurrentMixedBatchBitIdenticalToStandalone) {
         double span_um;
         unsigned seed;
         bool skew_refine;
-        bool wire_reclaim;
     };
     std::vector<Mix> mixes;
     for (int i = 0; i < kRequests; ++i)
         mixes.push_back({40 + (i % 5) * 30, 4000.0 + 500.0 * (i % 4),
-                         static_cast<unsigned>(i + 1), (i % 2) == 0, (i % 3) != 0});
+                         static_cast<unsigned>(i + 1), (i % 2) == 0});
 
     for (int i = 0; i < kRequests; ++i) {
         const Mix& m = mixes[static_cast<std::size_t>(i)];
@@ -86,8 +85,7 @@ TEST(ServeSessionTest, ConcurrentMixedBatchBitIdenticalToStandalone) {
             "{\"id\":" + std::to_string(i) + ",\"synthetic\":{\"sinks\":" +
             std::to_string(m.sinks) + ",\"span_um\":" + serve::json_number(m.span_um) +
             ",\"seed\":" + std::to_string(m.seed) + "},\"options\":{\"skew_refine\":" +
-            (m.skew_refine ? "true" : "false") + ",\"wire_reclaim\":" +
-            (m.wire_reclaim ? "true" : "false") + "}}";
+            (m.skew_refine ? "true" : "false") + "}}";
         EXPECT_TRUE(session.handle_line(line, cap.emit()));
     }
     session.drain();
@@ -110,7 +108,6 @@ TEST(ServeSessionTest, ConcurrentMixedBatchBitIdenticalToStandalone) {
         const auto sinks = bench_io::generate(spec);
         cts::SynthesisOptions opt;
         opt.skew_refine = m.skew_refine;
-        opt.wire_reclaim = m.wire_reclaim;
         opt.num_threads = 1;
         util::MemoryBudget budget(0);
         opt.memory_budget = &budget;
@@ -131,7 +128,7 @@ TEST(ServeSessionTest, ConcurrentMixedBatchBitIdenticalToStandalone) {
 
         // Per-request profile must be the REQUEST's own, not a smear
         // of whatever the other workers were doing: maze_calls of a
-        // merge tree over n sinks is exactly n - 1 plus refine/reclaim
+        // merge tree over n sinks is exactly n - 1 plus refine
         // re-routes, and those all run on this request's thread.
         const Json* prof = r->find("profile");
         ASSERT_NE(prof, nullptr);

@@ -305,11 +305,10 @@ def main():
             fm, bm = f[mode], b[mode]
             checked += 1
 
-            # A degraded or interrupted harness run can emit a mode
-            # record with columns missing (e.g. the reclaim stats when
-            # the pass was cut short). Flag it loudly and skip the
-            # affected metric instead of crashing the gate -- but never
-            # count it as a passing comparison.
+            # A mode record from another harness version (or a
+            # hand-edited file) can lack a column. Flag it loudly and
+            # skip the affected metric instead of crashing the gate --
+            # but never count it as a passing comparison.
             fw, bw = fm.get("wirelength_um"), bm.get("wirelength_um")
             if fw is None or bw is None:
                 side = "fresh" if fw is None else "baseline"

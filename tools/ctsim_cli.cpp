@@ -62,10 +62,10 @@ void usage() {
         "  --memory-budget-mb MB  soft memory cap; under pressure the run\n"
         "                      degrades along the documented ladder before it\n"
         "                      ever fails (docs/robustness.md)\n"
-        "  --checkpoint-dir DIR  crash-safe checkpointing: snapshots at phase\n"
-        "                      boundaries, and a rerun with the same input and\n"
-        "                      options resumes from the last one, skipping the\n"
-        "                      completed phases (cleared on success)\n"
+        "  --checkpoint-dir DIR  crash-safe checkpointing: a snapshot once merging\n"
+        "                      finishes, and a rerun with the same input and\n"
+        "                      options resumes from it, skipping the merge\n"
+        "                      phase (cleared on success)\n"
         "  --library FILE      delay library cache (default ctsim_delaylib_45nm.cache)\n"
         "  --cache-dir DIR     directory for relative cache files (also honors the\n"
         "                      CTSIM_CACHE_DIR environment variable; without either,\n"
@@ -327,10 +327,9 @@ int main(int argc, char** argv) {
     if (diag.deadline_hit)
         std::fprintf(stderr,
                      "ctsim_cli: warning: deadline hit during %s; result degraded "
-                     "(%d early-closed routes, refine %s, reclaim %s)\n",
+                     "(%d early-closed routes, refine %s)\n",
                      cts::degrade_stage_name(diag.degraded_at), diag.degraded_routes,
-                     diag.refine_skipped ? "skipped" : "ran",
-                     diag.reclaim_skipped ? "skipped" : "ran");
+                     diag.refine_skipped ? "skipped" : "ran");
     if (diag.memory_rung != cts::MemoryRung::none)
         std::fprintf(stderr,
                      "ctsim_cli: warning: memory budget pressure; degraded to rung "

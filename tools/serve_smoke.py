@@ -3,7 +3,7 @@
 and verify every line of the response stream.
 
 The batch is the daemon's whole protocol surface in one session: N
-synthesize requests of mixed size (some with quality passes toggled
+synthesize requests of mixed size (some with the refine pass toggled
 off), one malformed line (must produce a typed invalid_input error
 WITHOUT killing the session), one `stats` probe mid-stream, and a
 final `shutdown` whose embedded stats must account for every request:
@@ -37,10 +37,8 @@ def main():
     for i in range(n):
         req = {"id": i, "synthetic": {"sinks": sink_count(i),
                                       "span_um": 6000.0, "seed": i + 1}}
-        if i % 3 == 1:
+        if i % 3 != 0:
             req["options"] = {"skew_refine": False}
-        if i % 3 == 2:
-            req["options"] = {"wire_reclaim": False}
         lines.append(json.dumps(req))
     lines.append("this is not json")
     lines.append(json.dumps({"id": "s", "type": "stats"}))
