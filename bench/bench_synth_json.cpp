@@ -3,8 +3,8 @@
 //
 //   default  - serial (num_threads = 1)
 //   parallel - one thread per hardware thread (num_threads = 0): the
-//              DAG pipeline of docs/parallelism.md, merge and refine
-//              sweeps over the dependency-DAG executor
+//              pooled merge loop of docs/parallelism.md over the
+//              rank-ordered executor, then the serial refine pass
 //
 // and writes BENCH_synth.json next to the binary so the performance
 // trajectory is tracked from change to change. The whole sweep --
@@ -106,7 +106,6 @@ struct ModeResult {
     int buffers{0};
     double skew_ps{0.0};
     int tree_nodes{0};
-    double refine_wall_s{std::numeric_limits<double>::infinity()};  ///< skew-refine pass
     cts::profile::Snapshot phases;
 };
 
@@ -132,7 +131,6 @@ void run_mode(const std::vector<cts::SinkSpec>& sinks, int threads, ModeResult& 
     r.seconds = std::min(r.seconds, seconds_since(t0));
     r.phases = cts::profile::snapshot();
     cts::profile::enable(false);
-    r.refine_wall_s = std::min(r.refine_wall_s, res.refine.wall_s);
     r.wirelength_um = res.wire_length_um;
     r.buffers = res.buffer_count;
     r.skew_ps = res.root_timing.max_ps - res.root_timing.min_ps;
@@ -164,14 +162,13 @@ void emit_mode(std::FILE* f, const char* key, const ModeResult& m, bool trailing
     std::fprintf(f,
                  "      \"%s\": {\"seconds\": %.6f, \"wirelength_um\": %.3f, "
                  "\"buffers\": %d, \"skew_ps\": %.6f, \"tree_nodes\": %d,\n"
-                 "        \"refine_wall_s\": %.6f,\n"
                  "        \"phases\": {\"maze_s\": %.6f, \"balance_s\": %.6f, "
                  "\"timing_s\": %.6f, \"refine_s\": %.6f, \"exec_idle_s\": %.6f},\n"
                  "        \"maze_calls\": %llu, \"c2f_coarse\": %llu, "
                  "\"c2f_refined\": %llu, \"c2f_fallbacks\": %llu, "
                  "\"dag_tasks\": %llu, \"dag_steals\": %llu}%s\n",
                  key, m.seconds, m.wirelength_um, m.buffers, m.skew_ps, m.tree_nodes,
-                 m.refine_wall_s, m.phases.maze_s, m.phases.balance_s, m.phases.timing_s,
+                 m.phases.maze_s, m.phases.balance_s, m.phases.timing_s,
                  m.phases.refine_s, m.phases.exec_idle_s,
                  static_cast<unsigned long long>(m.phases.maze_calls),
                  static_cast<unsigned long long>(m.phases.c2f_coarse_routes),
@@ -304,8 +301,6 @@ int main() {
         emit_mode(f, "parallel", r.parallel, true);
         std::fprintf(f, "      \"parallel_speedup\": %.3f,\n",
                      speedup(r.serial.seconds, r.parallel.seconds));
-        std::fprintf(f, "      \"refine_parallel_speedup\": %.3f,\n",
-                     speedup(r.serial.refine_wall_s, r.parallel.refine_wall_s));
         std::fprintf(f, "      \"peak_rss_mb\": %.1f,\n", r.peak_rss_mb);
         std::fprintf(f, "      \"parallel_identical\": %s\n    }%s\n",
                      r.parallel_identical ? "true" : "false",

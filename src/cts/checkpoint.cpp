@@ -111,8 +111,7 @@ void fingerprint_options(std::ostream& os, const SynthesisOptions& o) {
     put_dbl(os, o.assumed_input_slew_ps);
     os << ' ' << o.source_buffer;
     put_dbl(os, o.source_slew_ps);
-    os << ' ' << o.rng_seed << ' ' << o.skew_refine << ' ' << o.skew_refine_passes;
-    put_dbl(os, o.skew_refine_tol_ps);
+    os << ' ' << o.rng_seed << ' ' << o.skew_refine;
     // Memory pressure degrades routing, so the budget is part of the
     // configuration identity.
     put_dbl(os, o.memory_budget_mb);

@@ -92,12 +92,12 @@ struct SynthesisOptions {
     /// Deterministic seed for tie-breaking / SeedPolicy::random.
     unsigned rng_seed{1};
 
-    /// Worker threads for independent subtree merges and the
-    /// refine sweeps: 1 = serial, 0 = one per hardware thread,
-    /// n = exactly n. Each level's merges run through the deterministic
-    /// DAG executor (extract+route concurrently, commits published in
-    /// pairing order; see docs/parallelism.md), so results are
-    /// bit-for-bit identical across thread counts.
+    /// Worker threads for independent subtree merges: 1 = serial,
+    /// 0 = one per hardware thread, n = exactly n. Each level's merges
+    /// run through the deterministic DAG executor (extract+route
+    /// concurrently, commits published in pairing order; see
+    /// docs/parallelism.md), so results are bit-for-bit identical
+    /// across thread counts.
     int num_threads{1};
 
     // --- post-synthesis pass ----------------------------------------
@@ -108,12 +108,6 @@ struct SynthesisOptions {
     /// all re-timing through the incremental engine. Off reproduces the
     /// unrefined bottom-up result.
     bool skew_refine{true};
-    /// Full deepest-first sweeps of the refinement pass; it stops
-    /// earlier at a fixed point (a sweep that moves no knob).
-    int skew_refine_passes{3};
-    /// Per-merge convergence tolerance of the refinement pass [ps]:
-    /// a merge whose two sides agree within this is left alone.
-    double skew_refine_tol_ps{0.05};
 
     // --- robustness knobs -------------------------------------------
     /// Cooperative wall-clock deadline for the whole synthesize()

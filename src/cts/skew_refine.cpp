@@ -1,10 +1,8 @@
 #include "cts/skew_refine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
-#include <shared_mutex>
 #include <utility>
 #include <vector>
 
@@ -15,8 +13,6 @@
 #include "cts/timing.h"
 #include "delaylib/eval_cache.h"
 #include "geom/point.h"
-#include "util/dag_executor.h"
-#include "util/thread_pool.h"
 
 namespace ctsim::cts {
 
@@ -139,101 +135,40 @@ std::vector<std::pair<int, int>> merges_deepest_first(const ClockTree& tree, int
     return merges;
 }
 
-/// For each entry of `merges` (a merges_deepest_first list over the
-/// subtree at `root`), the INDEX within `merges` of its nearest
-/// ancestor merge, or -1 at the top. This is the dependency relation
-/// the DAG sweep hangs its edges on: everything a merge's decision
-/// reads -- its children's arrival windows, its own dirty mark, its
-/// side-chain tree state -- is written only by merges on its own
-/// spine, and the nearest-ancestor edges order exactly those
-/// (transitively, all descendants commit before a merge plans). An
-/// ancestor is strictly shallower, so the edge always points from a
-/// lower index to a higher one: valid DagExecutor edges by
-/// construction.
-std::vector<int> nearest_ancestor_merge(const ClockTree& tree, int root,
-                                        const std::vector<std::pair<int, int>>& merges) {
-    std::vector<int> index_of(tree.size(), -1);
-    for (std::size_t i = 0; i < merges.size(); ++i)
-        index_of[merges[i].second] = static_cast<int>(i);
-    std::vector<int> dep(merges.size(), -1);
-    for (std::size_t i = 0; i < merges.size(); ++i) {
-        const int n = merges[i].second;
-        if (n == root) continue;
-        for (int p = tree.node(n).parent; p >= 0; p = tree.node(p).parent) {
-            if (index_of[p] >= 0) {
-                dep[i] = index_of[p];
-                break;
-            }
-            if (p == root) break;
-        }
-    }
-    return dep;
-}
-
 /// A sweep that applies no move against an imbalance above this [ps]
 /// is a fixed point: bottom-up merging already accepted residuals of
 /// this size, and later sweeps could only chase stage-model noise.
 constexpr double kSettlePs = 0.5;
-
-// Each merge's re-balance is split into a pure PLAN (reads the
-// settled windows and its own side chains, records edits -- the DAG
-// executor's concurrent run phase) and an APPLY that replays the
-// recorded edits in the exact serial order (tree writes, engine
-// notifications, window bumps, stats -- the rank-ordered commit
-// lane). Serial sweeps run plan-then-apply back to back, so one code
-// path serves both and the split IS the serial semantics.
-
-/// One recorded edit, applied in plan order.
-struct RefineAction {
-    enum class Kind { set_dirty, wire, swap, snake };
-    Kind kind{Kind::set_dirty};
-    int dirty_val{0};     ///< set_dirty: win.dirty[m] value
-    int iso{-1};          ///< wire/swap/snake: the side's isolation buffer
-    int knob{-1};         ///< wire/swap: the stage-wire owner below iso
-    double wire_um{0.0};  ///< wire/swap: new stage wire; snake: re-centered wire
-    double shift_ps{0.0};  ///< predicted window shift (snake: the stage part)
-    int new_btype{-1};    ///< swap: replacement buffer type
-    double burn_ps{0.0};  ///< snake: delay to burn below the stage
-};
-
-/// What plan_refine_merge decided for one merge.
-struct RefinePlan {
-    bool visited{false};  ///< read_side succeeded (merges_visited)
-    bool changed{false};  ///< moved a knob against an imbalance > kSettlePs
-    std::vector<RefineAction> actions;
-};
+/// Per-merge convergence tolerance [ps]: a merge whose two sides
+/// agree within this is left alone.
+constexpr double kTolPs = 0.05;
+/// Full deepest-first sweeps at most; the pass stops earlier at a
+/// fixed point.
+constexpr int kPasses = 3;
 
 /// Re-solve one merge's two-sided balance with a single model shot
-/// against the root-frame windows, recording (not applying) its
-/// edits. Pure: reads the tree and windows, writes only the plan.
-RefinePlan plan_refine_merge(const ClockTree& tree, int m,
-                             const delaylib::DelayModel& model,
-                             const SynthesisOptions& opt, delaylib::EvalCache& ec,
-                             const ArrivalWindows& win, bool allow_snake) {
-    RefinePlan plan;
+/// against the root-frame windows, applying each move as it is
+/// decided: tree write, engine notification, window bump. Returns
+/// whether it moved a knob against an imbalance above kSettlePs.
+bool refine_merge(ClockTree& tree, int m, const delaylib::DelayModel& model,
+                  const SynthesisOptions& opt, IncrementalTiming& engine,
+                  delaylib::EvalCache& ec, ArrivalWindows& win, SkewRefineStats& stats,
+                  bool count_visit, bool allow_snake) {
     {
         const TreeNode& node = tree.node(m);
-        if (node.kind != NodeKind::merge || node.children.size() != 2) return plan;
+        if (node.kind != NodeKind::merge || node.children.size() != 2) return false;
     }
-    const double tol = std::max(opt.skew_refine_tol_ps, 1e-3);
 
     MergeSide s1, s2;
     if (!read_side(tree, model, ec, tree.node(m).children[0], s1) ||
         !read_side(tree, model, ec, tree.node(m).children[1], s2))
-        return plan;
-    plan.visited = true;
-
-    const auto act_dirty = [&](int v) {
-        RefineAction a;
-        a.kind = RefineAction::Kind::set_dirty;
-        a.dirty_val = v;
-        plan.actions.push_back(a);
-    };
+        return false;
+    if (count_visit) stats.merges_visited += 1;
 
     // Signed imbalance in the root frame; the real branch asymmetry
     // at the merge is already inside these arrivals.
     const double d0 = win.mx[s1.iso] - win.mx[s2.iso];
-    act_dirty(0);  // re-marked below by any move's bump
+    win.dirty[m] = 0;  // re-marked below by any move's bump
 
     MergeSide& fast = d0 > 0.0 ? s2 : s1;
     MergeSide& slow = d0 > 0.0 ? s1 : s2;
@@ -255,18 +190,15 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
         }
         return 0.5 * (lo + hi);
     };
-    // Record a stage-wire move and return its model-predicted delay
-    // shift [ps] (positive = this side got slower; 0 = no move).
+    // Move a stage wire and return its model-predicted delay shift
+    // [ps] (positive = this side got slower; 0 = no move).
     const auto move_wire = [&](MergeSide& s, double w) {
         if (std::abs(w - s.wire) < 1e-2) return 0.0;
         const double shift = sd(s.btype, s.load, w) - sd(s.btype, s.load, s.wire);
-        RefineAction a;
-        a.kind = RefineAction::Kind::wire;
-        a.iso = s.iso;
-        a.knob = s.knob;
-        a.wire_um = w;
-        a.shift_ps = shift;
-        plan.actions.push_back(a);
+        tree.node(s.knob).parent_wire_um = w;
+        engine.wire_changed(s.knob);
+        stats.trims += 1;
+        if (shift != 0.0) win.bump(tree, s.iso, shift);
         s.wire = w;
         return shift;
     };
@@ -278,9 +210,9 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
     const double give_max = sd(slow.btype, slow.load, slow.wire) -
                             sd(slow.btype, slow.load, slow.lo);
 
-    if (delta <= tol || gain_max + give_max >= delta) {
+    if (delta <= kTolPs || gain_max + give_max >= delta) {
         bool applied = false;
-        if (delta > tol) {
+        if (delta > kTolPs) {
             // Close the gap by un-snaking the slow side first
             // (recovers wire), lengthening the fast side only for the
             // remainder.
@@ -299,9 +231,8 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
                 applied |= shift != 0.0;
             }
         }
-        act_dirty(applied ? 1 : 0);
-        plan.changed = applied && delta > kSettlePs;
-        return plan;
+        win.dirty[m] = applied ? 1 : 0;
+        return applied && delta > kSettlePs;
     }
 
     // Continuous knobs exhausted: apply both in full, then close the
@@ -338,29 +269,38 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
         s.hi = swap_hi;
         const double w = std::max(solve(s, s.lo, swap_hi, target), s.lo);
         s.wire = w;
-        RefineAction a;
-        a.kind = RefineAction::Kind::swap;
-        a.iso = s.iso;
-        a.knob = s.knob;
-        a.new_btype = swap_t;
-        a.wire_um = w;
-        a.shift_ps = sd(s.btype, s.load, w) - before;
-        plan.actions.push_back(a);
+        tree.node(s.iso).buffer_type = swap_t;
+        engine.buffer_changed(s.iso);
+        stats.buffer_swaps += 1;
+        tree.node(s.knob).parent_wire_um = w;
+        engine.wire_changed(s.knob);
+        win.bump(tree, s.iso, sd(s.btype, s.load, w) - before);
+        win.dirty[m] = 1;
+        // A swap changes the output slew delivered into the whole
+        // subtree, which can shift a descendant merge's two sides
+        // UNEQUALLY (unlike the common-mode ancestor terms the dirty
+        // skip reasons about) -- re-examine every merge below next
+        // sweep. Swaps are rare, so the walk is cheap.
+        std::vector<int> stack{s.iso};
+        while (!stack.empty()) {
+            const int n = stack.back();
+            stack.pop_back();
+            if (tree.node(n).kind == NodeKind::merge) win.dirty[n] = 1;
+            for (int c : tree.node(n).children) stack.push_back(c);
+        }
         return true;
     };
     if (try_swap(fast, sd(fast.btype, fast.load, fast.wire) + residual) ||
-        try_swap(slow, sd(slow.btype, slow.load, slow.wire) - residual)) {
-        plan.changed = true;
-        return plan;
-    }
+        try_swap(slow, sd(slow.btype, slow.load, slow.wire) - residual))
+        return true;
 
     // Residual beyond every knob: burn it with snake stages below the
     // fast stage, re-centering the stage wire so the next sweep
     // regains a bidirectional trim knob (merge_route's exhaustion
     // move, same notification pattern).
-    act_dirty(moved ? 1 : 0);
-    plan.changed = moved && delta > kSettlePs;
-    if (!allow_snake || residual <= 3.0) return plan;
+    win.dirty[m] = moved ? 1 : 0;
+    const bool changed = moved && delta > kSettlePs;
+    if (!allow_snake || residual <= 3.0) return changed;
     const double mid_wire =
         std::min(std::max(0.5 * (fast.lo + fast.hi), fast.lo), fast.wire);
     const double returned = sd(fast.btype, fast.load, fast.wire) -
@@ -369,16 +309,13 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
     // delay, so a small burn target can overshoot -- and an
     // unabsorbed overshoot seeds a LARGER imbalance that the parent
     // would then snake against, avalanching up the spine. Dry-run the
-    // snake (exact by construction, and independent of the fast
-    // stage's own wire, so planning before the trims above are
-    // applied reads the same subtree the apply-time snake will) and
-    // record it only when the predicted landing error either strictly
-    // improves on accepting the residual, or fits inside the
-    // re-centered stage's trim range so the next sweep can absorb it
-    // continuously.
+    // snake (exact by construction) and apply it only when the
+    // predicted landing error either strictly improves on accepting
+    // the residual, or fits inside the re-centered stage's trim range
+    // so the next sweep can absorb it continuously.
     const double burn = residual * 0.9 + returned;
     const SnakePreview pv = snake_delay_preview(tree, fast.knob, burn, model, opt);
-    if (pv.top_type < 0) return plan;
+    if (pv.top_type < 0) return changed;
     // After the snake, the re-centered stage drives the snake's TOP
     // buffer, whose load class generally differs from the old child's
     // -- the landing error and absorption ranges must be computed
@@ -393,119 +330,40 @@ RefinePlan plan_refine_merge(const ClockTree& tree, int m,
     const double absorb = err < 0.0
         ? stage_after - sd(fast.btype, snake_load, fast.lo)
         : sd(fast.btype, snake_load, fast.hi) - stage_after;
-    if (std::abs(err) >= residual - 0.5 && std::abs(err) > 0.9 * absorb) return plan;
-    RefineAction a;
-    a.kind = RefineAction::Kind::snake;
-    a.iso = fast.iso;
-    a.knob = fast.knob;
-    a.wire_um = mid_wire;
-    a.burn_ps = burn;
-    // The apply-time bump adds snake_delay's exact added_delay_ps to
-    // this stage-side delta (the old code's expression, split).
-    a.shift_ps = stage_after - sd(fast.btype, fast.load, fast.wire);
-    plan.actions.push_back(a);
-    plan.changed = true;
-    return plan;
-}
-
-/// Replay a plan's edits on the shared tree in recorded order: the
-/// same writes, engine notifications, window bumps and stats the
-/// original single-threaded pass interleaved with its decisions.
-/// `tree_mu` (when parallel) serializes arena appends against the
-/// shared-locked plan phases; everything else touches only this
-/// merge's own spine. Returns plan.changed.
-bool apply_refine_plan(ClockTree& tree, int m, const RefinePlan& plan,
-                       const delaylib::DelayModel& model, const SynthesisOptions& opt,
-                       IncrementalTiming& engine, ArrivalWindows& win,
-                       SkewRefineStats& stats, bool count_visit,
-                       std::shared_mutex* tree_mu) {
-    if (plan.visited && count_visit) stats.merges_visited += 1;
-    for (const RefineAction& a : plan.actions) {
-        switch (a.kind) {
-            case RefineAction::Kind::set_dirty:
-                win.dirty[m] = static_cast<char>(a.dirty_val);
-                break;
-            case RefineAction::Kind::wire:
-                tree.node(a.knob).parent_wire_um = a.wire_um;
-                engine.wire_changed(a.knob);
-                stats.trims += 1;
-                if (a.shift_ps != 0.0) win.bump(tree, a.iso, a.shift_ps);
-                break;
-            case RefineAction::Kind::swap: {
-                tree.node(a.iso).buffer_type = a.new_btype;
-                engine.buffer_changed(a.iso);
-                stats.buffer_swaps += 1;
-                tree.node(a.knob).parent_wire_um = a.wire_um;
-                engine.wire_changed(a.knob);
-                win.bump(tree, a.iso, a.shift_ps);
-                win.dirty[m] = 1;
-                // A swap changes the output slew delivered into the
-                // whole subtree, which can shift a descendant merge's
-                // two sides UNEQUALLY (unlike the common-mode ancestor
-                // terms the dirty skip reasons about) -- re-examine
-                // every merge below next sweep. Swaps are rare, so the
-                // walk is cheap.
-                std::vector<int> stack{a.iso};
-                while (!stack.empty()) {
-                    const int n = stack.back();
-                    stack.pop_back();
-                    if (tree.node(n).kind == NodeKind::merge) win.dirty[n] = 1;
-                    for (int c : tree.node(n).children) stack.push_back(c);
-                }
-                break;
-            }
-            case RefineAction::Kind::snake: {
-                SnakeResult sr;
-                {
-                    // Snaking appends to the node arena, which can
-                    // reallocate under concurrent plan-phase readers.
-                    std::unique_lock<std::shared_mutex> lk;
-                    if (tree_mu) lk = std::unique_lock<std::shared_mutex>(*tree_mu);
-                    tree.disconnect(a.knob);
-                    sr = snake_delay(tree, a.knob, a.burn_ps, model, opt);
-                    tree.connect(a.iso, sr.new_root,
-                                 std::max(a.wire_um,
-                                          geom::manhattan(tree.node(a.iso).pos,
-                                                          tree.node(sr.new_root).pos)));
-                }
-                // Snake nodes are fresh (never cached); the one stale
-                // component is iso's, which now drives sr.new_root.
-                engine.wire_changed(sr.new_root);
-                stats.snake_stages += sr.stages;
-                // Window sizes track the pre-existing arena; the fresh
-                // snake nodes only ever sit below iso, whose window we
-                // shift by the net predicted change (snaked delay plus
-                // the re-centered stage's delta at its new load).
-                win.bump(tree, a.iso, sr.added_delay_ps + a.shift_ps);
-                win.dirty[m] = 1;
-                break;
-            }
-        }
-    }
-    return plan.changed;
+    if (std::abs(err) >= residual - 0.5 && std::abs(err) > 0.9 * absorb) return changed;
+    const double stage_shift = stage_after - sd(fast.btype, fast.load, fast.wire);
+    tree.disconnect(fast.knob);
+    const SnakeResult sr = snake_delay(tree, fast.knob, burn, model, opt);
+    tree.connect(fast.iso, sr.new_root,
+                 std::max(mid_wire, geom::manhattan(tree.node(fast.iso).pos,
+                                                    tree.node(sr.new_root).pos)));
+    // Snake nodes are fresh (never cached); the one stale component
+    // is fast.iso's, which now drives sr.new_root.
+    engine.wire_changed(sr.new_root);
+    stats.snake_stages += sr.stages;
+    // Window sizes track the pre-existing arena; the fresh snake
+    // nodes only ever sit below fast.iso, whose window we shift by
+    // the net predicted change (snaked delay plus the re-centered
+    // stage's delta at its new load).
+    win.bump(tree, fast.iso, sr.added_delay_ps + stage_shift);
+    win.dirty[m] = 1;
+    return true;
 }
 
 }  // namespace
 
 SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine,
-                            util::ThreadPool* pool) {
+                            const SynthesisOptions& opt, IncrementalTiming& engine) {
     profile::ScopedPhase phase(profile::Phase::refine);
-    const auto wall0 = std::chrono::steady_clock::now();
     SkewRefineStats stats;
     delaylib::EvalCache& ec = eval_cache_for(model, opt);
 
     // Merge nodes deepest-first; snaking never adds merge nodes, so
-    // one list serves every sweep -- and since it never restructures
-    // merge ancestry either, so does the dependency relation.
+    // one list serves every sweep.
     const std::vector<std::pair<int, int>> merges = merges_deepest_first(tree, root);
-    const bool parallel = pool != nullptr && pool->size() > 1 && merges.size() > 1;
-    std::vector<int> deps;
-    if (parallel) deps = nearest_ancestor_merge(tree, root, merges);
 
     ArrivalWindows win;
-    const int passes = std::max(1, opt.skew_refine_passes);
-    for (int p = 0; p < passes; ++p) {
+    for (int p = 0; p < kPasses; ++p) {
         // One truth walk per sweep: every window (and every prior
         // sweep's predicted shift) is replaced by engine values.
         const TimingReport rep = engine.report(root);
@@ -517,66 +375,19 @@ SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayMode
         // Snakes land coarsely and rely on a FOLLOW-UP sweep to trim
         // the re-centered stage; the last allowed sweep must not
         // leave such an unabsorbed landing behind.
-        const bool allow_snake = p + 1 < passes;
-        if (!parallel) {
-            for (const auto& [negdepth, m] : merges) {
-                // Cooperative cancellation between merges: every
-                // applied move is a complete, engine-notified edit, so
-                // stopping here leaves a valid tree (stats.cancelled
-                // records the short coverage).
-                if (opt.cancel && opt.cancel->checked()) {
-                    stats.cancelled = true;
-                    break;
-                }
-                if (p > 0 && !win.dirty[m]) continue;
-                changed |= apply_refine_plan(
-                    tree, m, plan_refine_merge(tree, m, model, opt, ec, win, allow_snake),
-                    model, opt, engine, win, stats, p == 0, nullptr);
+        const bool allow_snake = p + 1 < kPasses;
+        for (const auto& [negdepth, m] : merges) {
+            // Cooperative cancellation between merges: every applied
+            // move is a complete, engine-notified edit, so stopping
+            // here leaves a valid tree (stats.cancelled records the
+            // short coverage).
+            if (opt.cancel && opt.cancel->checked()) {
+                stats.cancelled = true;
+                break;
             }
-        } else {
-            // DAG sweep (docs/parallelism.md): plan concurrently once
-            // a merge's descendants have applied (nearest-ancestor
-            // edges), apply in rank order = the serial deepest-first
-            // visit order -- including the counted cancellation poll,
-            // so a deadline cuts the sweep at the same merge as
-            // serial.
-            util::DagExecutor dag;
-            std::shared_mutex tree_mu;
-            std::vector<RefinePlan> plans(merges.size());
-            for (std::size_t i = 0; i < merges.size(); ++i) {
-                const int m = merges[i].second;
-                dag.add_node(
-                    [&, i, m] {
-                        if (p > 0 && !win.dirty[m]) return;  // plan stays empty
-                        profile::ScopedPhase worker_phase(profile::Phase::refine);
-                        delaylib::EvalCache& tec = eval_cache_for(model, opt);
-                        std::shared_lock<std::shared_mutex> lk(tree_mu);
-                        plans[i] =
-                            plan_refine_merge(tree, m, model, opt, tec, win, allow_snake);
-                    },
-                    [&, i, m] {
-                        if (opt.cancel && opt.cancel->checked()) {
-                            stats.cancelled = true;
-                            dag.request_stop();
-                            return;
-                        }
-                        profile::ScopedPhase lane_phase(profile::Phase::refine);
-                        changed |= apply_refine_plan(tree, m, plans[i], model, opt,
-                                                     engine, win, stats, p == 0, &tree_mu);
-                    });
-            }
-            // Edges after all nodes exist: a merge's nearest ancestor
-            // sits LATER in the deepest-first list (higher rank).
-            for (std::size_t i = 0; i < merges.size(); ++i)
-                if (deps[i] >= 0) dag.add_edge(static_cast<int>(i), deps[i]);
-            // The lane's counted poll is the only cancellation
-            // authority (a token handed to execute() would stop at a
-            // schedule-dependent point instead).
-            dag.execute(pool);
-            profile::add_seconds(profile::Phase::exec_idle, dag.stats().idle_s);
-            profile::count_events(profile::Counter::dag_tasks,
-                                  static_cast<std::uint64_t>(dag.stats().committed));
-            profile::count_events(profile::Counter::dag_steals, dag.stats().steals);
+            if (p > 0 && !win.dirty[m]) continue;
+            changed |=
+                refine_merge(tree, m, model, opt, engine, ec, win, stats, p == 0, allow_snake);
         }
         stats.passes = p + 1;
         if (!changed || stats.cancelled) break;
@@ -584,8 +395,6 @@ SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayMode
 
     const RootTiming t1 = engine.root_timing(root);
     stats.final_skew_ps = t1.max_ps - t1.min_ps;
-    stats.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
     return stats;
 }
 

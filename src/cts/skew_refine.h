@@ -1,17 +1,15 @@
-// Top-down skew refinement of a finished clock tree (the post-pass
-// of ROADMAP's "clamp the root skew variance across engine
-// configurations" item; mirrors the final tuning passes of
-// multi-objective CTS flows).
+// Top-down skew refinement of a finished clock tree: the balancing
+// step that follows bottom-up merging (mirrors the final tuning passes
+// of multi-objective CTS flows).
 //
 // Bottom-up synthesis accepts per-merge residuals (merge_route stops
 // at 0.5 ps, and up to ~3 ps when a trim range is exhausted), and
-// WHICH residual each merge lands on is decision-chaotic: flipping
-// any engine knob perturbs rebalance decisions and scatters the root
-// skew across a 4-12 ps band. This pass walks the FINISHED tree and
+// which residual each merge lands on depends on every earlier routing
+// and rebalance decision. This pass walks the FINISHED tree and
 // re-solves every merge's two-sided balance to a much tighter
-// tolerance, which clamps that band: the refined root skew is set by
-// the per-merge tolerance and the slew-propagation error, not by
-// which residuals the bottom-up decisions happened to accept.
+// tolerance (0.05 ps), so the refined root skew is set by that
+// tolerance and the slew-propagation error, not by which residuals
+// the bottom-up decisions happened to accept.
 //
 // The refinement contract (same discipline as timing.h / maze.h):
 //
@@ -50,8 +48,7 @@
 //     cancel in the two-sided difference). Sweeps repeat until one
 //     applies no move against an imbalance above the settle band
 //     (kSettlePs in skew_refine.cpp -- the residual bottom-up merging
-//     already accepted) or SynthesisOptions::skew_refine_passes is
-//     hit.
+//     already accepted), for at most 3 sweeps.
 //   * Snakes land coarsely (no stage can add less than the smallest
 //     zero-wire stage delay), so each one is dry-run first
 //     (snake_delay_preview, exact by construction) and applied only
@@ -60,18 +57,12 @@
 //     to absorb; the last sweep never snakes. This kills the
 //     overshoot avalanche a blind snake seeds on long-span instances
 //     whose stages have no trim headroom.
-//   * Determinism: moves are pure functions of (tree, model,
-//     options) -- engine purity plus the shared EvalCache's purely
-//     functional values -- so serial and parallel synthesis refine to
-//     bit-identical trees. With a thread pool the sweep itself runs
-//     over the DAG executor (docs/parallelism.md): each merge's moves
-//     are PLANNED concurrently from the settled windows of its
-//     dependency closure (edges: merge -> nearest ancestor merge, so
-//     disjoint spines proceed independently) and APPLIED -- tree
-//     edits, engine notifications, window bumps, the counted
-//     cancellation poll -- in deepest-first rank order, which is
-//     exactly the serial visit order. The single truth walk stays at
-//     the sweep boundary.
+//   * Determinism: the pass is serial, and its moves are pure
+//     functions of (tree, model, options) -- engine purity plus the
+//     shared EvalCache's purely functional values -- so a tree merged
+//     at any thread count refines to the same tree. A tripped
+//     CancelToken is polled (counted) between merges, so a deadline
+//     cuts the pass at a deterministic merge.
 //   * Phase attribution: the whole pass runs under
 //     profile::Phase::refine; the rare snake-stage construction keeps
 //     its inner balance scope (exclusive nesting), everything else --
@@ -83,17 +74,13 @@
 #include "cts/options.h"
 #include "delaylib/delay_model.h"
 
-namespace ctsim::util {
-class ThreadPool;  // util/thread_pool.h
-}
-
 namespace ctsim::cts {
 
 class IncrementalTiming;  // incremental_timing.h
 
 /// What the refinement pass did, for tests and the bench harness.
 struct SkewRefineStats {
-    int passes{0};          ///< sweeps executed (<= skew_refine_passes)
+    int passes{0};          ///< sweeps executed (<= 3)
     int merges_visited{0};  ///< well-formed merges seen (first sweep visits all)
     int trims{0};           ///< stage-wire knob moves
     int buffer_swaps{0};    ///< isolation-buffer type changes
@@ -105,22 +92,15 @@ struct SkewRefineStats {
     /// the engine saw, so the tree and engine stay consistent -- the
     /// pass just covered fewer merges than asked.
     bool cancelled{false};
-    /// Wall-clock of the whole pass [s], for the bench harness's
-    /// parallel-speedup columns (profile phase totals sum CPU time
-    /// across workers, which is the wrong numerator for speedup).
-    double wall_s{0.0};
 };
 
 /// Refine the finished tree rooted at `root`. `engine` must be an
 /// IncrementalTiming attached to `tree` and consistent with it (all
 /// prior edits notified); the pass keeps it consistent. Invoked by
 /// synthesize() when SynthesisOptions::skew_refine is set; callable
-/// directly on any tree with merge_route-shaped merges. A non-null
-/// `pool` (wider than one thread) plans merges concurrently over the
-/// DAG executor; the result is bit-for-bit identical either way.
+/// directly on any tree with merge_route-shaped merges.
 SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine,
-                            util::ThreadPool* pool = nullptr);
+                            const SynthesisOptions& opt, IncrementalTiming& engine);
 
 }  // namespace ctsim::cts
 

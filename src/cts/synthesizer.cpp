@@ -184,8 +184,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     while (roots.size() > 1) {
         // Memory ladder, serial rung: retire the pool at the level
         // boundary. The workers' pooled label grids and scratch die
-        // with their threads, and the remaining levels (plus the
-        // refine pass, which reads the same pointer) run serially.
+        // with their threads, and the remaining levels run serially.
         if (pool != nullptr && ctx.memory_ladder != nullptr &&
             ctx.memory_ladder->at_least(MemoryRung::serial))
             pool.reset();
@@ -249,11 +248,11 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
                         next.push_back(rec.merge_node);
                     });
             }
-            // No cancel token on purpose: a tripped deadline degrades
-            // routes (they close on their incumbent) but every merge
-            // of the level still commits -- the tree must reach a
-            // single root. Route errors rethrow lowest-rank-first,
-            // matching the serial first-failure order.
+            // A tripped deadline degrades routes (they close on their
+            // incumbent) but every merge of the level still commits --
+            // the tree must reach a single root. Route errors rethrow
+            // lowest-rank-first, matching the serial first-failure
+            // order.
             dag.execute(pool.get());
             fold_dag_stats(dag.stats());
         } else {
@@ -324,16 +323,14 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         (void)opt.checkpoint->save(res.tree, base);
     }
 
-    // Top-down skew refinement (skew_refine.h) on the finished tree.
-    // Serial runs reuse the persistent engine; pooled and resumed runs
-    // build a fresh one here. Pooled runs also hand the pass the pool:
-    // its deepest-first sweeps run over the DAG executor (plan
-    // concurrently, apply in rank order -- see docs/parallelism.md),
-    // and engine purity plus rank-ordered application keeps the
-    // result bit-for-bit identical across thread counts.
+    // Top-down skew refinement (skew_refine.h) on the finished tree,
+    // always single-threaded. Serial runs reuse the persistent engine;
+    // pooled and resumed runs build a fresh one here, and engine
+    // purity keeps the result bit-for-bit identical across thread
+    // counts.
     if (opt.skew_refine && !tripped_during_merge) {
         IncrementalTiming& eng = serial_engine();
-        res.refine = refine_skew(res.tree, res.root, model, opt, eng, pool.get());
+        res.refine = refine_skew(res.tree, res.root, model, opt, eng);
         if (res.refine.cancelled) {
             diag.deadline_hit = true;
             diag.degraded_at = DegradeStage::refine;

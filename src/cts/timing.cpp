@@ -174,16 +174,6 @@ int resolve_driver_type(int requested, const delaylib::DelayModel& model) {
 
 namespace {
 
-/// Per-thread component scratch, one slot per recursion depth, reused
-/// across analyze() calls so the batch path allocates nothing per
-/// component (a deque keeps shallower slots stable while deeper
-/// recursion grows it). Batch analysis stays the hot re-timing path
-/// for every engine-off configuration, so this matters.
-std::deque<detail::ComponentEval>& tls_component_scratch() {
-    static thread_local std::deque<detail::ComponentEval> scratch;
-    return scratch;
-}
-
 /// Batch driver over components: depth-first across buffer
 /// boundaries, exactly the seed Analyzer's traversal order.
 class Analyzer {
@@ -216,9 +206,8 @@ class Analyzer {
   private:
     void recurse(int head, int dtype, double slew_in, double base, bool real_buffer,
                  std::size_t depth) {
-        std::deque<detail::ComponentEval>& scratch = tls_component_scratch();
-        if (depth >= scratch.size()) scratch.emplace_back();
-        detail::ComponentEval& ce = scratch[depth];  // eval_component clears it
+        if (depth >= scratch_.size()) scratch_.emplace_back();
+        detail::ComponentEval& ce = scratch_[depth];  // eval_component clears it
         detail::eval_component(tree_, model_, head, dtype, slew_in, real_buffer,
                                opt_.propagate_slews, opt_.input_slew_ps, ce);
         report_.worst_slew_ps = std::max(report_.worst_slew_ps, ce.worst_slew_ps);
@@ -241,6 +230,9 @@ class Analyzer {
     TimingOptions opt_;
     int vdriver_{0};
     TimingReport report_;
+    /// Component scratch, one slot per recursion depth (a deque keeps
+    /// shallower slots stable while deeper recursion grows it).
+    std::deque<detail::ComponentEval> scratch_;
 };
 
 }  // namespace

@@ -8,9 +8,9 @@
 //
 // Single-wire fits are "3rd- or 4th-order polynomials" (we use 4th);
 // branch fits are the paper's "hyperplane fitting" generalization
-// (we use total degree 3 over 4 variables). Characterization costs a
-// few seconds, so the library can be serialized to a text cache and
-// reloaded (`save`/`load`).
+// (we use total degree 2 over 4 variables, FitOptions::branch_degree).
+// Characterization costs a few seconds, so the library can be
+// serialized to a text cache and reloaded (`save`/`load`).
 #ifndef CTSIM_DELAYLIB_FITTED_LIBRARY_H
 #define CTSIM_DELAYLIB_FITTED_LIBRARY_H
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -51,27 +50,6 @@ int DagExecutor::add_node(std::function<void()> run, std::function<void()> commi
     return rank;
 }
 
-void DagExecutor::add_edge(int from, int to) {
-    if (from < 0 || to >= static_cast<int>(nodes_.size()) || from >= to) {
-        // Ranks are the topological order; an edge that does not go
-        // strictly forward is either out of range or would close a
-        // cycle. Always-on (not an assert): a cyclic graph deadlocks.
-        throw std::logic_error("DagExecutor::add_edge: edge " + std::to_string(from) +
-                               " -> " + std::to_string(to) +
-                               " is not a forward edge in rank order");
-    }
-    nodes_[from].out.push_back(to);
-    nodes_[to].deps++;
-}
-
-void DagExecutor::request_stop() {
-    // Called from inside a commit callback, i.e. on a worker thread
-    // that holds the lane but not the state mutex.
-    std::lock_guard<std::mutex> lk(m_);
-    stop_ = true;
-    cv_.notify_all();
-}
-
 void DagExecutor::record_error_locked(int rank) {
     if (error_rank_ < 0 || rank < error_rank_) {
         error_rank_ = rank;
@@ -88,11 +66,9 @@ bool DagExecutor::out_of_work_locked() const {
 
 bool DagExecutor::finished_locked() const {
     if (next_commit_ == static_cast<int>(nodes_.size())) return true;
-    // On stop: abandon the ready backlog; in-flight runs just drain.
-    if (stop_) return running_ == 0 && !lane_busy_;
-    // On failure: keep RUNNING everything whose dependencies committed
-    // (lowest-rank error determinism), but nothing new becomes ready
-    // once the lane is frozen, so drain runs + backlog.
+    // On failure: keep RUNNING the backlog (lowest-rank error
+    // determinism), but commit nothing further once the lane is
+    // frozen, so drain runs + backlog.
     if (frozen_) return running_ == 0 && !lane_busy_ && out_of_work_locked();
     return false;
 }
@@ -160,8 +136,7 @@ void DagExecutor::push_ready_locked(int wid, int node, std::uint64_t& rng) {
         ready_[target].push_back(node);
 }
 
-void DagExecutor::advance_lane(std::unique_lock<std::mutex>& lk, int wid,
-                               std::uint64_t& rng) {
+void DagExecutor::advance_lane(std::unique_lock<std::mutex>& lk) {
     // Exactly one worker drains the commit lane at a time; it drops
     // the state lock while a commit body executes, so peers keep
     // picking up runs. Callers hold lk.
@@ -174,16 +149,6 @@ void DagExecutor::advance_lane(std::unique_lock<std::mutex>& lk, int wid,
             frozen_ = true;
             break;
         }
-        // Uncounted cancellation poll INSIDE the lane: without it a
-        // 1-wide (or lane-saturated) execution would drain the whole
-        // run_done backlog after a trip, because only idle workers
-        // poll. This bounds cancellation latency to one commit body
-        // anywhere in the pipeline; counted polls stay the pass's own.
-        if (!stop_ && cancel_ != nullptr && cancel_->cancelled()) {
-            stop_ = true;
-            cv_.notify_all();
-        }
-        if (stop_) break;
         if (nodes_[rank].commit) {
             lk.unlock();
             try {
@@ -200,18 +165,8 @@ void DagExecutor::advance_lane(std::unique_lock<std::mutex>& lk, int wid,
             }
             lk.lock();
         }
-        if (nodes_[rank].failed) {
-            // A commit body may request_stop() AND be considered
-            // published; a failed flag set by itself cannot happen,
-            // but re-check stop_ below covers the cooperative case.
-            frozen_ = true;
-            break;
-        }
         next_commit_++;
         stats_.committed++;
-        for (int t : nodes_[rank].out) {
-            if (--nodes_[t].deps_left == 0) push_ready_locked(wid, t, rng);
-        }
         cv_.notify_all();
     }
     lane_busy_ = false;
@@ -227,20 +182,9 @@ void DagExecutor::worker_loop(int wid) {
     for (;;) {
         int node = -1;
         while (!finished_locked()) {
-            if (cancel_ != nullptr && cancel_->cancelled()) {
-                // Uncounted poll on purpose: counted polls belong to
-                // the pass's own deterministic commit-lane sequence.
-                stop_ = true;
-                cv_.notify_all();
-            }
-            if (!stop_ && !frozen_) {
-                node = acquire_locked(wid, rng);
-                if (node >= 0) break;
-            } else if (frozen_ && !stop_) {
-                // Failure mode still runs the backlog (see header).
-                node = acquire_locked(wid, rng);
-                if (node >= 0) break;
-            }
+            // Failure mode still runs the backlog (see header).
+            node = acquire_locked(wid, rng);
+            if (node >= 0) break;
             const auto t0 = std::chrono::steady_clock::now();
             cv_.wait_for(lk, std::chrono::milliseconds(50));
             stats_.idle_s +=
@@ -269,12 +213,12 @@ void DagExecutor::worker_loop(int wid) {
         if (!failed) stats_.ran++;
         nodes_[node].run_done = true;
         running_--;
-        advance_lane(lk, wid, rng);
+        advance_lane(lk);
         cv_.notify_all();
     }
 }
 
-void DagExecutor::execute(ThreadPool* pool, CancelToken* cancel) {
+void DagExecutor::execute(ThreadPool* pool) {
     const int n = static_cast<int>(nodes_.size());
     stats_ = Stats{};
     stats_.nodes = n;
@@ -285,8 +229,6 @@ void DagExecutor::execute(ThreadPool* pool, CancelToken* cancel) {
     running_ = 0;
     lane_busy_ = false;
     frozen_ = false;
-    stop_ = false;
-    cancel_ = cancel;
     error_ = nullptr;
     error_rank_ = -1;
     const unsigned seed = g_fuzz_seed.load(std::memory_order_relaxed);
@@ -298,18 +240,13 @@ void DagExecutor::execute(ThreadPool* pool, CancelToken* cancel) {
     const int workers = pool != nullptr ? pool->size() : 1;
     ready_.assign(static_cast<std::size_t>(workers), {});
     {
-        // Seed the ready deques with the zero-in-degree ranks,
-        // round-robin (fuzz scatters them instead).
+        // Seed the ready deques with every rank, round-robin (fuzz
+        // scatters them instead).
         std::uint64_t rng = fuzz_ * 0x2545f4914f6cdd1dull + 7;
-        int next = 0;
         for (int i = 0; i < n; ++i) {
-            nodes_[i].deps_left = nodes_[i].deps;
             nodes_[i].run_done = false;
             nodes_[i].failed = false;
-            if (nodes_[i].deps == 0) {
-                push_ready_locked(next, i, rng);
-                next = (next + 1) % workers;
-            }
+            push_ready_locked(i % workers, i, rng);
         }
     }
 
@@ -321,12 +258,10 @@ void DagExecutor::execute(ThreadPool* pool, CancelToken* cancel) {
         pool->parallel_for(workers, [this](int wid) { worker_loop(wid); });
     }
 
-    stats_.stopped = stop_;
     std::exception_ptr err = error_;
     // Consume the graph: the executor is reusable after any outcome.
     nodes_.clear();
     ready_.clear();
-    cancel_ = nullptr;
     if (err) std::rethrow_exception(err);
 }
 

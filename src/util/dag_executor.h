@@ -1,28 +1,23 @@
-// Deterministic DAG executor with work stealing and rank-ordered
+// Deterministic task executor with work stealing and rank-ordered
 // commits.
 //
-// Replaces the level -> barrier -> commit shape of parallel synthesis
-// (and opens the previously serial refine sweeps) with a
-// dependency DAG: a node becomes runnable the moment everything it
-// depends on has been published, regardless of what unrelated
-// stragglers are doing.
+// Parallel synthesis runs each level's merges through it: every merge
+// is an independent node, a worker starts the next one the moment it
+// is free, and commits drain while later routes are still in flight,
+// with no level barrier.
 //
 // THE DETERMINISM CONTRACT (docs/parallelism.md has the long form).
 // Every node is split into two phases:
 //
 //   run     executed concurrently by whichever worker steals it.
-//           May read shared state owned by its dependency closure
-//           (the executor guarantees all dependencies have COMMITTED
-//           before the run starts) and must not write anything
-//           another node reads. Typical uses: route a merge in a
-//           private arena, plan a refine move from settled arrival
-//           windows.
+//           May read shared state that no commit of the same graph
+//           writes and must not write anything another node reads.
+//           Typical use: route a merge in a private arena.
 //
-//   commit  executed in RANK order -- the order nodes were added,
-//           which add_edge() forces to be a topological order -- by
-//           exactly one worker at a time, with commit(i) always after
-//           commit(i-1). All shared-state mutation (arena appends,
-//           engine notifications, stats) belongs here.
+//   commit  executed in RANK order -- the order nodes were added --
+//           by exactly one worker at a time, with commit(i) always
+//           after commit(i-1). All shared-state mutation (arena
+//           appends, engine notifications, stats) belongs here.
 //
 // Because every observable write happens in the commit phase and the
 // commit sequence is the fixed rank order, the final state is a pure
@@ -33,22 +28,12 @@
 // what the schedule-fuzzing suite (set_test_fuzz) exists to falsify.
 //
 // Error propagation matches ThreadPool::parallel_for's
-// lowest-index-wins contract, strengthened for dependencies: if any
-// run or commit throws, the exception of the LOWEST-RANK failing node
-// is rethrown from execute(), the committed prefix is exactly the
-// ranks below it, and every node whose dependencies did commit still
-// runs (concurrent peers cannot be recalled, and running them keeps
-// the reported rank deterministic). The executor is reusable after a
-// failed (or stopped) execution.
-//
-// Cancellation: a tripped CancelToken stops new runs and freezes the
-// commit lane, leaving a consistent committed prefix (a contiguous
-// rank range starting at 0). request_stop() does the same from inside
-// a commit callback -- the hook cooperative passes use to keep their
-// own counted cancellation polls in deterministic rank order. Latency
-// is bounded: the token is polled (uncounted) both in the idle/steal
-// path and between commits inside the lane, so after a trip at most
-// one in-flight run per worker and one commit body complete.
+// lowest-index-wins contract: if any run or commit throws, the
+// exception of the LOWEST-RANK failing node is rethrown from
+// execute(), the committed prefix is exactly the ranks below it, and
+// every other node still runs (concurrent peers cannot be recalled,
+// and running them keeps the reported rank deterministic). The
+// executor is reusable after a failed execution.
 //
 // Fault injection (docs/robustness.md): dag_task_alloc_fail probes in
 // add_node (structured resource_exhaustion before execute()),
@@ -68,7 +53,6 @@
 #include <mutex>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/thread_pool.h"
 
 namespace ctsim::util {
@@ -82,7 +66,6 @@ class DagExecutor {
         int committed{0};      ///< commits published (a rank prefix)
         std::uint64_t steals{0};  ///< ready nodes taken from another worker
         double idle_s{0.0};    ///< summed worker wait time (all workers)
-        bool stopped{false};   ///< CancelToken trip or request_stop()
     };
 
     DagExecutor() = default;
@@ -93,26 +76,12 @@ class DagExecutor {
     /// phase may be empty.
     int add_node(std::function<void()> run, std::function<void()> commit = {});
 
-    /// `to` depends on `from`: run(to) starts only after commit(from).
-    /// Ranks double as the topological order, so edges must point from
-    /// a lower rank to a higher one -- a back or self edge (the only
-    /// way to express a cycle) throws std::logic_error immediately,
-    /// in every build type.
-    void add_edge(int from, int to);
-
-    /// From inside a commit callback: publish nothing further (the
-    /// current commit still counts as published; it is expected to
-    /// have done nothing). Runs already in flight finish; their
-    /// commits are dropped.
-    void request_stop();
-
     /// Run the graph to completion over `pool` (null or a 1-wide pool
     /// executes inline, still honoring the fuzz hook's pick order).
-    /// Rethrows the lowest-rank failure after the graph settles; on a
-    /// CancelToken trip returns normally with stats().stopped set.
-    /// The node list is consumed (cleared) whether execute() throws
-    /// or not, so the executor can be reloaded and reused.
-    void execute(ThreadPool* pool, CancelToken* cancel = nullptr);
+    /// Rethrows the lowest-rank failure after the graph settles. The
+    /// node list is consumed (cleared) whether execute() throws or
+    /// not, so the executor can be reloaded and reused.
+    void execute(ThreadPool* pool);
 
     int size() const { return static_cast<int>(nodes_.size()); }
     const Stats& stats() const { return stats_; }
@@ -128,9 +97,6 @@ class DagExecutor {
     struct Node {
         std::function<void()> run;
         std::function<void()> commit;
-        std::vector<int> out;  ///< dependents, by rank
-        int deps{0};           ///< in-degree
-        int deps_left{0};      ///< uncommitted dependencies (execution state)
         bool run_done{false};
         bool failed{false};
     };
@@ -140,7 +106,7 @@ class DagExecutor {
     /// fuzz perturbs every choice). -1 when none available. Lock held.
     int acquire_locked(int wid, std::uint64_t& rng);
     void push_ready_locked(int wid, int node, std::uint64_t& rng);
-    void advance_lane(std::unique_lock<std::mutex>& lk, int wid, std::uint64_t& rng);
+    void advance_lane(std::unique_lock<std::mutex>& lk);
     void record_error_locked(int rank);
     bool out_of_work_locked() const;
     bool finished_locked() const;
@@ -156,8 +122,6 @@ class DagExecutor {
     int running_{0};
     bool lane_busy_{false};
     bool frozen_{false};   ///< lane hit a failed rank; no further commits
-    bool stop_{false};     ///< cancel trip / request_stop
-    CancelToken* cancel_{nullptr};
     std::exception_ptr error_{nullptr};
     int error_rank_{-1};
     std::uint64_t fuzz_{0};  ///< 0 = locality-first policy

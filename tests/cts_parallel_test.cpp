@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bench_io/synthetic.h"
+#include "cts/phase_profile.h"
 #include "cts_test_util.h"
 #include "util/cancel.h"
 
@@ -79,12 +80,12 @@ TEST(ParallelSynth, OddRootCountAndSeedPassthrough) {
 }
 
 TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
-    // Every pipeline phase that can run over the executor -- merge
-    // DAG alone, plus the refine sweep -- at every interesting width
-    // (1 = inline executor, 2/3 = contended lane, 0 = hardware
-    // width): each cell must be bit-identical to the single-threaded
-    // run of the SAME phase set, so a determinism leak is attributed
-    // to a phase, not just to "parallel".
+    // The pooled merge alone, and followed by the serial refine pass
+    // on a fresh engine, at every interesting width (1 = inline
+    // executor, 2/3 = contended lane, 0 = hardware width): each cell
+    // must be bit-identical to the single-threaded run of the SAME
+    // phase set, so a determinism leak is attributed to a phase, not
+    // just to "parallel".
     const auto sinks = random_sinks(40, 21000.0, 11);
     for (bool refine : {false, true}) {
         SynthesisOptions so = opts(1);
@@ -133,8 +134,8 @@ TEST(ParallelSynth, RefineDeadlineCutsMatchSerial) {
     // attribution there is schedule-dependent (cts_deadline_test pins
     // the serial contract) -- but their TOTAL is a sum over routes,
     // order-independent. Cuts landing past the merge phase hit the
-    // refine lane's rank-ordered polls, so the degraded tree must be
-    // bit-identical to the serial run cut at the same count, at any
+    // serial refine pass's per-merge polls, so the degraded tree must
+    // be bit-identical to the serial run cut at the same count, at any
     // width.
     const auto sinks = random_sinks(40, 21000.0, 11);
 
@@ -174,6 +175,30 @@ TEST(ParallelSynth, RefineDeadlineCutsMatchSerial) {
             EXPECT_EQ(serial.diagnostics.degraded_at, par.diagnostics.degraded_at);
         }
     }
+}
+
+TEST(ParallelSynth, RefineAddsNoExecutorTasksUnderAPool) {
+    // Refine is serial: under a pool, only the merge loop feeds the
+    // executor, so turning refine on must not change the task count.
+    struct ProfileGuard {
+        bool was = profile::enabled();
+        ~ProfileGuard() {
+            profile::reset();
+            profile::enable(was);
+        }
+    } guard;
+    profile::enable(true);
+    const auto sinks = random_sinks(40, 21000.0, 11);
+    std::uint64_t tasks[2] = {0, 0};
+    for (bool refine : {false, true}) {
+        SynthesisOptions o = opts(2);
+        o.skew_refine = refine;
+        profile::reset();
+        (void)synthesize(sinks, analytic(), o);
+        tasks[refine] = profile::snapshot().dag_tasks;
+    }
+    EXPECT_GT(tasks[0], 0u) << "the pooled merge loop ran no executor tasks";
+    EXPECT_EQ(tasks[0], tasks[1]);
 }
 
 }  // namespace

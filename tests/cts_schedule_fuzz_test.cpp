@@ -1,15 +1,16 @@
 // Schedule-fuzzing determinism suite for the DAG-executor pipeline
 // (docs/parallelism.md): DagExecutor::set_test_fuzz perturbs every
 // pop/steal/push decision of every executor in the process with a
-// seeded RNG stream, so each seed drives the merge and refine
-// sweeps through a different interleaving of run phases.
+// seeded RNG stream, so each seed drives the pooled merge loop
+// through a different interleaving of run phases before the serial
+// refine pass runs on a fresh engine.
 // The determinism contract says the OUTPUT is a pure function of the
 // graph -- commits publish in rank order no matter what the schedule
 // does -- so every seed at every width must reproduce the serial tree
 // node-for-node and the pass stats field-for-field. A single
-// mismatch here means a run phase read state outside its dependency
-// closure (the exact bug class the executor exists to make
-// impossible), which no fixed-schedule test would catch.
+// mismatch here means a run phase read state that a commit writes
+// (the exact bug class the executor exists to make impossible), which
+// no fixed-schedule test would catch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -85,10 +86,10 @@ void fuzz_matrix(const std::vector<SinkSpec>& sinks, const char* label) {
     }
 }
 
-// Two instances with different DAG shapes: a wide even-count spread
-// (deep pairing levels, long refine spines) and a smaller odd-count
-// one (seed-node passthrough interleaves unpaired roots with
-// committed merges, skewing the dependency fan-in).
+// Two instances with different level shapes: a wide even-count
+// spread (deep pairing levels, long refine spines) and a smaller
+// odd-count one (seed-node passthrough interleaves unpaired roots
+// with committed merges).
 TEST(ScheduleFuzz, WideInstanceMatchesSerialUnderAllSchedules) {
     fuzz_matrix(random_sinks(48, 24000.0, 7), "wide");
 }
@@ -103,8 +104,8 @@ TEST(ScheduleFuzz, OddInstanceMatchesSerialUnderAllSchedules) {
 // schedule-dependent there (the serial-only caveat cts_deadline_test
 // documents) -- but the TOTAL a completed merge phase consumes is a
 // sum over routes, hence order-independent. Past that boundary the
-// poll sequence is deterministic again by construction: the refine
-// lane polls once per merge in rank order (the serial visit order).
+// poll sequence is deterministic again by construction: the serial
+// refine pass polls once per merge in its deepest-first visit order.
 // A token tripping after n > merge-phase polls must therefore cut the
 // SAME merge -- and degrade to the same tree -- at any width, under
 // any schedule.

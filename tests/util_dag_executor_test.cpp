@@ -1,25 +1,24 @@
 // Unit tests for util::DagExecutor in isolation: commit-rank
-// determinism on chain/diamond/fan-out graphs, lowest-rank-wins error
-// propagation (and reuse after a failed run), CancelToken /
-// request_stop prefix consistency, and the always-on cyclic-input
-// guard. The cts-level schedule-fuzzing suite
-// (cts_schedule_fuzz_test) covers the real synthesis graphs.
+// determinism, lowest-rank-wins error propagation (and reuse after a
+// failed run), and schedule-fuzz identity. The cts-level
+// schedule-fuzzing suite (cts_schedule_fuzz_test) covers the real
+// synthesis graphs.
 #include "util/dag_executor.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/thread_pool.h"
 
 namespace {
 
-using ctsim::util::CancelToken;
 using ctsim::util::DagExecutor;
 using ctsim::util::ThreadPool;
 
@@ -30,54 +29,32 @@ struct FuzzGuard {
 };
 
 TEST(DagExecutor, ChainCommitsInRankOrder) {
+    // Low ranks run longest, so runs tend to finish out of rank
+    // order; commits still publish 0..n-1.
     ThreadPool pool(4);
     DagExecutor dag;
     std::vector<int> commits;
     const int n = 32;
     for (int i = 0; i < n; ++i)
-        dag.add_node([] {}, [&commits, i] { commits.push_back(i); });
-    for (int i = 1; i < n; ++i) dag.add_edge(i - 1, i);
+        dag.add_node(
+            [i] {
+                for (int k = 0; k < (n - i) * 4; ++k) std::this_thread::yield();
+            },
+            [&commits, i] { commits.push_back(i); });
     dag.execute(&pool);
     std::vector<int> want(n);
     std::iota(want.begin(), want.end(), 0);
     EXPECT_EQ(commits, want);
     EXPECT_EQ(dag.stats().committed, n);
     EXPECT_EQ(dag.stats().ran, n);
-    EXPECT_FALSE(dag.stats().stopped);
-}
-
-TEST(DagExecutor, DiamondRunsAfterDepsCommit) {
-    ThreadPool pool(4);
-    DagExecutor dag;
-    std::atomic<int> committed_mask{0};
-    std::vector<int> commits;
-    int seen_by_d = 0;
-    // a(0) -> b(1), c(2) -> d(3)
-    dag.add_node([] {}, [&] { commits.push_back(0); committed_mask |= 1; });
-    dag.add_node([] {}, [&] { commits.push_back(1); committed_mask |= 2; });
-    dag.add_node([] {}, [&] { commits.push_back(2); committed_mask |= 4; });
-    dag.add_node([&] { seen_by_d = committed_mask.load(); },
-                 [&] { commits.push_back(3); });
-    dag.add_edge(0, 1);
-    dag.add_edge(0, 2);
-    dag.add_edge(1, 3);
-    dag.add_edge(2, 3);
-    dag.execute(&pool);
-    EXPECT_EQ(commits, (std::vector<int>{0, 1, 2, 3}));
-    // d's run started only after both b and c (and transitively a)
-    // were committed.
-    EXPECT_EQ(seen_by_d, 7);
 }
 
 TEST(DagExecutor, FanOutPublishesInRankOrder) {
     ThreadPool pool(4);
     DagExecutor dag;
     std::vector<int> commits;
-    dag.add_node([] {}, [&] { commits.push_back(0); });
-    for (int i = 1; i <= 24; ++i) {
+    for (int i = 0; i <= 24; ++i)
         dag.add_node([] {}, [&commits, i] { commits.push_back(i); });
-        dag.add_edge(0, i);
-    }
     dag.execute(&pool);
     std::vector<int> want(25);
     std::iota(want.begin(), want.end(), 0);
@@ -120,22 +97,9 @@ TEST(DagExecutor, LowestRankErrorWinsAndPrefixCommits) {
         std::vector<int> again;
         dag.add_node([] {}, [&again] { again.push_back(0); });
         dag.add_node([] {}, [&again] { again.push_back(1); });
-        dag.add_edge(0, 1);
         dag.execute(&pool);
         EXPECT_EQ(again, (std::vector<int>{0, 1}));
     }
-}
-
-TEST(DagExecutor, DependentsOfFailedNodeNeverRun) {
-    ThreadPool pool(3);
-    DagExecutor dag;
-    std::atomic<bool> dependent_ran{false};
-    dag.add_node([] { throw std::runtime_error("root failure"); }, [] {});
-    dag.add_node([&] { dependent_ran = true; }, [] {});
-    dag.add_edge(0, 1);
-    EXPECT_THROW(dag.execute(&pool), std::runtime_error);
-    EXPECT_FALSE(dependent_ran.load());
-    EXPECT_EQ(dag.stats().committed, 0);
 }
 
 TEST(DagExecutor, CommitExceptionFreezesLane) {
@@ -153,65 +117,6 @@ TEST(DagExecutor, CommitExceptionFreezesLane) {
     EXPECT_EQ(dag.stats().committed, 3);
 }
 
-TEST(DagExecutor, CancelTokenLeavesConsistentPrefix) {
-    ThreadPool pool(4);
-    DagExecutor dag;
-    CancelToken token;
-    std::vector<int> commits;
-    const int n = 40;
-    for (int i = 0; i < n; ++i) {
-        dag.add_node([&token, i] { if (i == 10) token.cancel(); },
-                     [&commits, i] { commits.push_back(i); });
-        if (i > 0) dag.add_edge(i - 1, i);
-    }
-    dag.execute(&pool, &token);
-    EXPECT_TRUE(dag.stats().stopped);
-    EXPECT_LT(dag.stats().committed, n);
-    // Prefix consistency: exactly the ranks [0, committed) published,
-    // in order, nothing past the stop.
-    ASSERT_EQ(static_cast<int>(commits.size()), dag.stats().committed);
-    for (int i = 0; i < dag.stats().committed; ++i) EXPECT_EQ(commits[i], i);
-    EXPECT_GE(dag.stats().committed, 10);  // deps of the tripping run
-}
-
-TEST(DagExecutor, RequestStopFromCommitIsExact) {
-    ThreadPool pool(4);
-    for (int threads : {1, 2, 4}) {
-        ThreadPool tp(threads);
-        DagExecutor dag;
-        std::vector<int> commits;
-        const int n = 16;
-        for (int i = 0; i < n; ++i) {
-            dag.add_node([] {}, [&dag, &commits, i] {
-                if (i == 6) {
-                    dag.request_stop();
-                    return;  // the stopping commit publishes nothing
-                }
-                commits.push_back(i);
-            });
-        }
-        dag.execute(&tp);
-        EXPECT_TRUE(dag.stats().stopped);
-        // The stopping commit itself counts as published (it ran, as a
-        // no-op); nothing after it does -- at ANY thread count.
-        EXPECT_EQ(dag.stats().committed, 7) << "threads " << threads;
-        EXPECT_EQ(commits, (std::vector<int>{0, 1, 2, 3, 4, 5}));
-    }
-}
-
-TEST(DagExecutor, BackwardOrSelfEdgeThrows) {
-    DagExecutor dag;
-    dag.add_node([] {});
-    dag.add_node([] {});
-    EXPECT_THROW(dag.add_edge(1, 0), std::logic_error);  // back edge = cycle
-    EXPECT_THROW(dag.add_edge(0, 0), std::logic_error);  // self edge
-    EXPECT_THROW(dag.add_edge(-1, 1), std::logic_error);
-    EXPECT_THROW(dag.add_edge(0, 2), std::logic_error);  // out of range
-    dag.add_edge(0, 1);
-    dag.execute(nullptr);
-    EXPECT_EQ(dag.stats().committed, 2);
-}
-
 TEST(DagExecutor, InlineExecutionMatchesPooled) {
     // pool == nullptr runs inline; a 1-wide pool spawns no workers.
     ThreadPool one(1);
@@ -220,38 +125,37 @@ TEST(DagExecutor, InlineExecutionMatchesPooled) {
         std::vector<int> commits;
         for (int i = 0; i < 6; ++i)
             dag.add_node([] {}, [&commits, i] { commits.push_back(i); });
-        dag.add_edge(0, 3);
-        dag.add_edge(1, 3);
-        dag.add_edge(3, 5);
         dag.execute(pool);
         EXPECT_EQ(commits, (std::vector<int>{0, 1, 2, 3, 4, 5}));
     }
 }
 
 TEST(DagExecutor, FuzzedSchedulesAreBitIdentical) {
-    // A layered DAG where each run derives a value from its committed
-    // dependencies: any schedule that honors the contract produces the
-    // same values and the same commit order.
+    // Each run derives a value from private state; each commit folds
+    // it into a running hash, so the published sequence depends on
+    // the commit order. Any schedule that honors the contract
+    // publishes the same sequence.
     const int n = 48;
-    std::vector<long> want;
+    std::vector<std::uint64_t> want;
     for (int threads : {1, 2, 3, 8}) {
         ThreadPool pool(threads);
         for (unsigned seed = 1; seed <= 10; ++seed) {
             FuzzGuard fuzz(seed);
             DagExecutor dag;
-            std::vector<long> value(n, 0);
-            std::vector<long> published;
+            std::vector<std::uint64_t> value(n, 0);
+            std::uint64_t acc = 0;
+            std::vector<std::uint64_t> published;
             for (int i = 0; i < n; ++i) {
                 dag.add_node(
                     [&value, i] {
-                        long v = i;
-                        if (i >= 3) v += 2 * value[i - 3];
-                        if (i >= 7) v += 3 * value[i - 7];
+                        std::uint64_t v = i;
+                        for (int k = 0; k < i % 7; ++k) v = 3 * v + k;
                         value[i] = v;
                     },
-                    [&value, &published, i] { published.push_back(value[i]); });
-                if (i >= 3) dag.add_edge(i - 3, i);
-                if (i >= 7) dag.add_edge(i - 7, i);
+                    [&value, &acc, &published, i] {
+                        acc = 31 * acc + value[i];
+                        published.push_back(acc);
+                    });
             }
             dag.execute(&pool);
             EXPECT_EQ(dag.stats().committed, n);
@@ -274,7 +178,6 @@ TEST(DagExecutor, StatsAccountForWork) {
     EXPECT_EQ(st.ran, 20);
     EXPECT_EQ(st.committed, 20);
     EXPECT_GE(st.idle_s, 0.0);
-    EXPECT_FALSE(st.stopped);
     // Empty graph is a no-op.
     dag.execute(&pool);
     EXPECT_EQ(dag.stats().nodes, 0);

@@ -10,21 +10,17 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "util/cancel.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace {
 
-using ctsim::util::CancelToken;
 using ctsim::util::DagExecutor;
 using ctsim::util::Error;
 using ctsim::util::FaultInjector;
@@ -104,8 +100,7 @@ void sweep_cell(FaultSite site, StatusCode want_code, ThreadPool* pool,
     } else {
         // Exact committed prefix: every rank below the reported
         // failure published, in order, and nothing else -- under any
-        // steal order (independent nodes, so no dependent was
-        // blocked).
+        // steal order.
         EXPECT_EQ(dag.stats().committed, failed_rank);
         std::vector<int> want(failed_rank);
         std::iota(want.begin(), want.end(), 0);
@@ -159,76 +154,6 @@ TEST(DagFault, InlineSweepIsDeterministicPerSeed) {
             const auto b = run(site);
             EXPECT_EQ(a, b) << "seed " << seed;
         }
-    }
-}
-
-TEST(DagFault, CommitFaultWithDependenciesKeepsPrefixExact) {
-    // A chain makes every node depend on the failed rank's commit:
-    // nothing past it may run OR commit.
-    FaultGuard guard;
-    ThreadPool pool(4);
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        FaultInjector::instance().arm(FaultSite::dag_commit_fail, seed, 0.25);
-        DagExecutor dag;
-        std::atomic<int> ran{0};
-        std::vector<int> commits;
-        const int n = 20;
-        for (int i = 0; i < n; ++i) {
-            dag.add_node([&ran] { ran++; }, [&commits, i] { commits.push_back(i); });
-            if (i > 0) dag.add_edge(i - 1, i);
-        }
-        int failed_rank = -1;
-        try {
-            dag.execute(&pool);
-        } catch (const Error& e) {
-            failed_rank = parse_rank(e.what());
-        }
-        FaultInjector::instance().disarm_all();
-        if (failed_rank < 0) {
-            EXPECT_EQ(dag.stats().committed, n);
-        } else {
-            EXPECT_EQ(dag.stats().committed, failed_rank) << "seed " << seed;
-            // On a chain, exactly one more run than commits could have
-            // started (the failed rank's own run preceded its commit).
-            EXPECT_EQ(ran.load(), failed_rank + 1) << "seed " << seed;
-        }
-    }
-}
-
-TEST(DagCancel, LatencyIsBoundedInTheCommitBacklog) {
-    // Satellite regression pin: rank 0's run finishes LAST, so by the
-    // time the lane opens every other node is a run-done commit
-    // backlog. A token tripped by commit k must stop the lane BETWEEN
-    // commits (the uncounted in-lane poll), publishing exactly
-    // [0, k] -- without the poll the 1-wide lane would drain all n.
-    ThreadPool pool(4);
-    const int n = 32;
-    const int k = 10;
-    for (int rep = 0; rep < 4; ++rep) {
-        DagExecutor dag;
-        CancelToken token;
-        std::atomic<int> others{0};
-        std::vector<int> commits;
-        dag.add_node(
-            [&others] {
-                while (others.load(std::memory_order_acquire) < n - 1)
-                    std::this_thread::yield();
-            },
-            [&commits] { commits.push_back(0); });
-        for (int i = 1; i < n; ++i)
-            dag.add_node([&others] { others.fetch_add(1, std::memory_order_acq_rel); },
-                         [&commits, &token, i] {
-                             commits.push_back(i);
-                             if (i == k) token.cancel();
-                         });
-        dag.execute(&pool, &token);
-        EXPECT_TRUE(dag.stats().stopped);
-        // Worst-case polls-to-stop: the tripping commit itself, then
-        // the lane's next poll -- never another commit body.
-        EXPECT_EQ(dag.stats().committed, k + 1) << "rep " << rep;
-        std::vector<int> want(k + 1);
-        std::iota(want.begin(), want.end(), 0);
-        EXPECT_EQ(commits, want) << "rep " << rep;
     }
 }
 

@@ -21,11 +21,9 @@ thresholds:
     column existed are tolerated: the missing column is flagged with a
     note and the check skipped, never counted as a pass.
   * refined skew: every mode is the shipped default, which carries
-    the top-down skew-refinement clamp and the engine-verified
-    wirelength reclamation (whose batches are rolled back beyond a
-    skew budget); any instance whose skew exceeds the committed
-    baseline's by more than SKEW_SLACK_PS fails (machine independent,
-    compared raw).
+    the top-down skew-refinement clamp; any instance whose skew
+    exceeds the committed baseline's by more than SKEW_SLACK_PS fails
+    (machine independent, compared raw).
 
 Instances or modes present in only one file are reported and skipped
 (the guard must not block adding instances/modes). Per-instance
