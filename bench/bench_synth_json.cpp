@@ -13,8 +13,9 @@
 // runs of these sub-second syntheses flap by 20% on a shared machine,
 // and spreading a cell's samples over the whole run keeps one burst
 // of foreign load from hitting all of them. Each mode also records
-// the per-phase split (maze vs balance vs timing, from cts::profile)
-// and the coarse-to-fine route/fallback counters of its last run.
+// the per-phase split (maze vs balance vs timing) and the
+// coarse-to-fine route/fallback counters of its last run, from that
+// run's SynthesisResult::profile.
 //
 // The file's `calibration_s` is the time of a fixed CPU kernel that
 // calls nothing in the library (calibration_kernel_seconds below): the
@@ -44,7 +45,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "cts/phase_profile.h"
 
 namespace {
 
@@ -106,7 +106,7 @@ struct ModeResult {
     int buffers{0};
     double skew_ps{0.0};
     int tree_nodes{0};
-    cts::profile::Snapshot phases;
+    cts::PhaseProfile phases;
 };
 
 struct InstanceRow {
@@ -124,13 +124,10 @@ struct InstanceRow {
 void run_mode(const std::vector<cts::SinkSpec>& sinks, int threads, ModeResult& r) {
     cts::SynthesisOptions o;
     o.num_threads = threads;
-    cts::profile::enable(true);
-    cts::profile::reset();
     const auto t0 = std::chrono::steady_clock::now();
     const cts::SynthesisResult res = cts::synthesize(sinks, bench::fitted(), o);
     r.seconds = std::min(r.seconds, seconds_since(t0));
-    r.phases = cts::profile::snapshot();
-    cts::profile::enable(false);
+    r.phases = res.profile;
     r.wirelength_um = res.wire_length_um;
     r.buffers = res.buffer_count;
     r.skew_ps = res.root_timing.max_ps - res.root_timing.min_ps;

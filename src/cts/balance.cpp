@@ -97,8 +97,9 @@ SnakeStage pick_snake_stage(delaylib::EvalCache& ec, const delaylib::DelayModel&
 }  // namespace
 
 SnakeResult snake_delay(ClockTree& tree, int root, double burn_ps,
-                        const delaylib::DelayModel& model, const SynthesisOptions& opt) {
-    profile::ScopedPhase phase(profile::Phase::balance);
+                        const delaylib::DelayModel& model, const SynthesisOptions& opt,
+                        const SynthesisContext* ctx) {
+    ScopedPhase phase(profile_of(ctx), Phase::balance);
     SnakeResult res;
     res.new_root = root;
     delaylib::EvalCache& ec = eval_cache_for(model, opt);
@@ -150,8 +151,10 @@ SnakePreview snake_delay_preview(const ClockTree& tree, int root, double burn_ps
 
 PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine) {
-    profile::ScopedPhase phase(profile::Phase::balance);
+                            const SynthesisOptions& opt, IncrementalTiming& engine,
+                            const SynthesisContext* ctx) {
+    PhaseProfile* const prof = profile_of(ctx);
+    ScopedPhase phase(prof, Phase::balance);
     PrebalanceResult res;
     res.root_a = a;
     res.root_b = b;
@@ -159,7 +162,7 @@ PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
     res.tb = tb;
 
     const auto time_root = [&](int root) {
-        profile::ScopedPhase tphase(profile::Phase::timing);
+        ScopedPhase tphase(prof, Phase::timing);
         return engine.root_timing(root);
     };
 
@@ -169,12 +172,12 @@ PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
     if (std::abs(diff) > 0.7 * reach + 1e-9) {
         const double burn = std::abs(diff) - 0.5 * reach;
         if (diff > 0.0) {  // b is faster: snake above b
-            const SnakeResult sr = snake_delay(tree, b, burn, model, opt);
+            const SnakeResult sr = snake_delay(tree, b, burn, model, opt, ctx);
             res.root_b = sr.new_root;
             res.snake_stages = sr.stages;
             res.tb = time_root(sr.new_root);
         } else {
-            const SnakeResult sr = snake_delay(tree, a, burn, model, opt);
+            const SnakeResult sr = snake_delay(tree, a, burn, model, opt, ctx);
             res.root_a = sr.new_root;
             res.snake_stages = sr.stages;
             res.ta = time_root(sr.new_root);

@@ -11,6 +11,7 @@
 #define CTSIM_CTS_BALANCE_H
 
 #include "cts/clock_tree.h"
+#include "cts/context.h"
 #include "cts/options.h"
 #include "cts/timing.h"
 #include "delaylib/delay_model.h"
@@ -34,9 +35,11 @@ struct SnakeResult {
 /// Insert full snaking stages above `root` until at least `burn_ps` of
 /// delay has been added (the last stage is trimmed by wire-length
 /// bisection to land close to the target). Stages honor the slew
-/// target. Returns the new (buffer) root.
+/// target. Returns the new (buffer) root. `ctx` only carries the
+/// phase profile the stages bill to as balance.
 SnakeResult snake_delay(ClockTree& tree, int root, double burn_ps,
-                        const delaylib::DelayModel& model, const SynthesisOptions& opt);
+                        const delaylib::DelayModel& model, const SynthesisOptions& opt,
+                        const SynthesisContext* ctx = nullptr);
 
 struct SnakePreview {
     double added_delay_ps{0.0};
@@ -74,7 +77,8 @@ struct PrebalanceResult {
 /// -- the engine picks up the new nodes lazily).
 PrebalanceResult prebalance(ClockTree& tree, int a, int b, const RootTiming& ta,
                             const RootTiming& tb, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine);
+                            const SynthesisOptions& opt, IncrementalTiming& engine,
+                            const SynthesisContext* ctx = nullptr);
 
 }  // namespace ctsim::cts
 

@@ -93,10 +93,11 @@ std::string get_name(std::istream& is) {
 // --- fingerprint ----------------------------------------------------
 
 /// Every decision-relevant option is folded in; the thread count
-/// (bit-for-bit identity contract) and the run-control handles
-/// (deadline, cancel token, the checkpointer itself) are deliberately
-/// left out -- a cut run is resumed WITHOUT its deadline, and must
-/// still match.
+/// (bit-for-bit identity contract: it changes the schedule, never the
+/// result -- budgeted runs included, since they always run serially)
+/// and the run-control handles (deadline, cancel token, the
+/// checkpointer itself) are deliberately left out -- a cut run is
+/// resumed WITHOUT its deadline, and must still match.
 void fingerprint_options(std::ostream& os, const SynthesisOptions& o) {
     put_dbl(os, o.slew_limit_ps);
     put_dbl(os, o.slew_target_ps);

@@ -15,13 +15,23 @@
 namespace ctsim::cts {
 
 class MemoryLadder;
+struct PhaseProfile;
 
 struct SynthesisContext {
     /// Degradation ladder of this run (cts/memory_ladder.h). Non-null
     /// only when a memory budget is installed; downstream stages read
     /// it like SynthesisOptions::cancel.
     MemoryLadder* memory_ladder{nullptr};
+    /// Phase profile the stages attribute to (cts/phase_profile.h):
+    /// the run's own, or a pooled merge's private one. Null = not
+    /// profiled.
+    PhaseProfile* profile{nullptr};
 };
+
+/// The profile `ctx` carries; null for a null context.
+inline PhaseProfile* profile_of(const SynthesisContext* ctx) {
+    return ctx != nullptr ? ctx->profile : nullptr;
+}
 
 }  // namespace ctsim::cts
 

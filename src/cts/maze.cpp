@@ -645,7 +645,6 @@ bool route_on_grid(const geom::RoutingGrid& grid, const RouteEndpoint& a,
                 }
                 if (tripped && inc.best_idx >= 0) {
                     out.degraded = true;
-                    profile::count_event(profile::Counter::maze_degraded);
                     break;
                 }
             }
@@ -826,8 +825,9 @@ delaylib::EvalCache& eval_cache_for(const delaylib::DelayModel& model,
 MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
                       const delaylib::DelayModel& model, const SynthesisOptions& opt,
                       const SynthesisContext* ctx) {
-    profile::ScopedPhase phase(profile::Phase::maze);
-    profile::count_event(profile::Counter::maze_calls);
+    PhaseProfile* const prof = profile_of(ctx);
+    ScopedPhase phase(prof, Phase::maze);
+    if (prof != nullptr) ++prof->maze_calls;
 
     const geom::RoutingGrid nominal = geom::RoutingGrid::for_net(
         a.pos, b.pos, opt.grid_cells_per_dim, opt.grid_margin_um, opt.grid_max_pitch_um);
@@ -867,7 +867,6 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
         grid = geom::RoutingGrid(grid.region(), grid.nx() / 2, grid.ny() / 2);
         out.grid_coarsened = true;
     }
-    if (out.grid_coarsened) profile::count_event(profile::Counter::grid_coarsenings);
 
     // Coarse-to-fine: route on a ~kC2fFactor-coarser grid over the
     // same region first, then refine at full resolution inside a
@@ -887,7 +886,7 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
             static_cast<std::uint64_t>(coarse.cell_count()) * kScratchBytesPerCell +
             static_cast<std::uint64_t>(grid.cell_count()) * sizeof(std::uint32_t));
         if (c2f) {
-            profile::count_event(profile::Counter::c2f_coarse_routes);
+            if (prof != nullptr) ++prof->c2f_coarse_routes;
             MazeResult cr;
             if (route_on_grid(coarse, a, b, model, opt, ec, rows, nullptr, cr)) {
                 Corridor& cor = route_scratch().corridor;
@@ -895,11 +894,11 @@ MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
                 mark_trace_corridor(cor, grid, cr.side1.trace, kC2fRadius);
                 mark_trace_corridor(cor, grid, cr.side2.trace, kC2fRadius);
                 if (route_on_grid(grid, a, b, model, opt, ec, rows, &cor, out)) {
-                    profile::count_event(profile::Counter::c2f_refined);
+                    if (prof != nullptr) ++prof->c2f_refined;
                     return out;
                 }
             }
-            profile::count_event(profile::Counter::c2f_fallbacks);
+            if (prof != nullptr) ++prof->c2f_fallbacks;
             out.c2f_fallback = true;
         }
     }

@@ -44,8 +44,9 @@
 //     (a coarse pitch can exceed every buffer's feasible run) or the
 //     corridor route fails, the router re-routes on the plain full
 //     grid -- maze_route never degrades its result availability, only
-//     its speed. Both conditions are counted in profile::Snapshot and
-//     the fallback is surfaced on MazeResult::c2f_fallback so the
+//     its speed. Both conditions are counted in the run's
+//     PhaseProfile (cts/phase_profile.h, reached through the context)
+//     and the fallback is surfaced on MazeResult::c2f_fallback so the
 //     synthesis report can aggregate a warning. The memory ladder's
 //     drop_c2f rung skips the coarse pass outright.
 //   * Cooperative cancellation (SynthesisOptions::cancel): the
@@ -147,8 +148,8 @@ struct MazeResult {
 /// Route two endpoints toward a minimum-|delay difference| meet cell.
 /// Throws util::Error{infeasible_route} when even the full grid holds
 /// no cell both sides can reach within the slew target. `ctx` carries
-/// the run-local pipeline handles (the memory ladder); null means an
-/// unladdered run.
+/// the run-local pipeline handles (the memory ladder, the phase
+/// profile); null means an unladdered, unprofiled run.
 MazeResult maze_route(const RouteEndpoint& a, const RouteEndpoint& b,
                       const delaylib::DelayModel& model, const SynthesisOptions& opt,
                       const SynthesisContext* ctx = nullptr);

@@ -38,7 +38,7 @@ void MemoryLadder::charge_required(std::uint64_t bytes, const char* what) {
     if (budget_ == nullptr) return;
     // Walk the remaining rungs between attempts: each escalation
     // releases memory elsewhere (dropped corridor grids, trimmed
-    // scratch, retired workers), so a retry can genuinely succeed.
+    // scratch), so a retry can genuinely succeed.
     for (;;) {
         if (budget_->try_reserve(bytes)) return;
         if (!escalate_one(MemoryRung::serial)) break;

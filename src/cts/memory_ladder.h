@@ -12,9 +12,10 @@
 //   lean_scratch  shrink the pooled per-thread label grids to a single
 //                 transient grid: scratch is trimmed after every route
 //                 so only the active route's labels stay resident.
-//   serial        fall back to width-1 execution: the synthesizer
-//                 drops its thread pool at the next level boundary,
-//                 retiring the other workers' scratch.
+//   serial        the last polite rung before exhaustion. A budgeted
+//                 run already executes at width 1 (synthesize()
+//                 ignores num_threads under a budget), so this rung
+//                 only records that the pressure got this deep.
 //   exhausted     a reservation the pipeline cannot do without (tree
 //                 arena growth, the active route's own label grid)
 //                 still failed -- raise resource_exhaustion with the
@@ -24,11 +25,9 @@
 // Escalation is one-way and sticky for the run. Optional charges
 // (coarse grids, delay rows) refuse politely -- the caller skips the
 // allocation; required charges walk the remaining rungs and throw at
-// the end. Rung transitions under parallel execution are
-// schedule-dependent (whichever thread hits the wall first escalates),
-// but validity never is: every outcome is a fully-timed tree or a
-// clean typed error. The budget-degraded goldens pin serial runs,
-// where the ladder is deterministic.
+// the end. Every outcome is a fully-timed tree or a clean typed error,
+// and since budgeted runs are serial the escalation points are a pure
+// function of the input -- the budget-degraded goldens pin them.
 #ifndef CTSIM_CTS_MEMORY_LADDER_H
 #define CTSIM_CTS_MEMORY_LADDER_H
 

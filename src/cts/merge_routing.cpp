@@ -95,13 +95,14 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
     const int tmax = model.buffers().largest();
     delaylib::EvalCache& ec = eval_cache_for(model, opt);
 
+    PhaseProfile* const prof = profile_of(ctx);
     const auto time_root = [&](int root) {
-        profile::ScopedPhase phase(profile::Phase::timing);
+        ScopedPhase phase(prof, Phase::timing);
         return engine.root_timing(root);
     };
 
     // --- Balance stage ------------------------------------------------
-    const PrebalanceResult pb = prebalance(tree, a, b, ta, tb, model, opt, engine);
+    const PrebalanceResult pb = prebalance(tree, a, b, ta, tb, model, opt, engine, ctx);
     const int ra = pb.root_a, rb = pb.root_b;
     const RootTiming tra = pb.ta, trb = pb.tb;
     rec.snake_stages = pb.snake_stages;
@@ -118,7 +119,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
     const std::vector<double> cum2 = trace_cum(mz.side2);
 
     // --- Binary search stage (Fig 4.5): initial split -------------------
-    profile::ScopedPhase balance_phase(profile::Phase::balance);
+    ScopedPhase balance_phase(prof, Phase::balance);
     // Free polyline between the last fixed nodes v1 and v2 through the
     // meet cell.
     const int v1_idx = mz.side1.buffers.empty() ? 0 : mz.side1.buffers.back().trace_index;
@@ -330,7 +331,7 @@ MergeRecord merge_route(ClockTree& tree, int a, int b, const RootTiming& ta,
         const double returned = stage_delay(wc) - stage_delay(mid_wire);
         tree.disconnect(child);
         const SnakeResult sr =
-            snake_delay(tree, child, std::abs(d0) * 0.9 + returned, model, opt);
+            snake_delay(tree, child, std::abs(d0) * 0.9 + returned, model, opt, ctx);
         tree.connect(fast.buffer, sr.new_root,
                      std::max(mid_wire, geom::manhattan(tree.node(fast.buffer).pos,
                                                         tree.node(sr.new_root).pos)));

@@ -97,7 +97,8 @@ struct SynthesisOptions {
     /// run through the deterministic DAG executor (extract+route
     /// concurrently, commits published in pairing order; see
     /// docs/parallelism.md), so results are bit-for-bit identical
-    /// across thread counts.
+    /// across thread counts. A run under a memory budget
+    /// (memory_budget_mb / memory_budget) is always serial.
     int num_threads{1};
 
     // --- post-synthesis pass ----------------------------------------
@@ -130,10 +131,11 @@ struct SynthesisOptions {
     /// disables. Under pressure the pipeline DEGRADES along the
     /// documented ladder (cts/memory_ladder.h, docs/robustness.md):
     /// drop coarse-to-fine corridor grids, shrink the pooled label
-    /// grids to one transient grid per thread, fall back to serial
-    /// execution -- and only then raises a typed resource_exhaustion,
-    /// with the deepest rung recorded in
-    /// SynthesisResult::diagnostics.
+    /// grids to one transient grid -- and only then raises a typed
+    /// resource_exhaustion, with the deepest rung recorded in
+    /// SynthesisResult::diagnostics. A budgeted run is serial
+    /// whatever num_threads says, so its degradations are a pure
+    /// function of the input.
     double memory_budget_mb{0.0};
     /// External budget (e.g. a per-request child of a server-wide
     /// cap); overrides memory_budget_mb when set. Must outlive the

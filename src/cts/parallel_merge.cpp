@@ -71,8 +71,10 @@ void route_extracted(ExtractedMerge& m, const delaylib::DelayModel& model,
         // are bit-identical to the serial synthesizer's long-lived
         // engine.
         IncrementalTiming engine(m.local, model, synthesis_timing_options(opt));
+        SynthesisContext own = ctx != nullptr ? *ctx : SynthesisContext{};
+        own.profile = &m.profile;
         m.record = merge_route(m.local, m.local_a, m.local_b, m.ta, m.tb, model, opt, engine,
-                               ctx);
+                               &own);
     } catch (...) {
         m.error = std::current_exception();
     }

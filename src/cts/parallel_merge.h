@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cts/merge_routing.h"
+#include "cts/phase_profile.h"
 
 namespace ctsim::cts {
 
@@ -37,6 +38,7 @@ struct ExtractedMerge {
     RootTiming ta;
     RootTiming tb;
     MergeRecord record;       ///< local ids until commit
+    PhaseProfile profile;     ///< this route's phases, folded into the run's at commit
     std::exception_ptr error;  ///< set when routing threw
 };
 
@@ -46,9 +48,10 @@ ExtractedMerge extract_merge(const ClockTree& tree, int a, int b, const RootTimi
 
 /// Route the extracted pair in its private arena (thread-safe with
 /// respect to other extractions; exceptions land in `m.error`). `ctx`
-/// is the run-local pipeline context (cts/context.h) -- the ladder it
-/// carries is internally synchronized, so concurrent routes may share
-/// one.
+/// is the run-local pipeline context (cts/context.h); it carries no
+/// memory ladder, since budgeted runs are serial. The route bills its
+/// phases to `m.profile`, never to the context's, so no two routes
+/// write one profile.
 void route_extracted(ExtractedMerge& m, const delaylib::DelayModel& model,
                      const SynthesisOptions& opt, const SynthesisContext* ctx = nullptr);
 

@@ -1,150 +1,75 @@
-// Lightweight per-phase wall-clock attribution for the synthesis hot
-// path, feeding the bench harness's maze / balance / timing columns.
+// Per-run wall-clock attribution of the synthesis phases, returned as
+// SynthesisResult::profile and feeding the bench harness's maze /
+// balance / timing / refine columns and the daemon's per-request
+// profile.
 //
-// Scopes nest EXCLUSIVELY: entering an inner phase suspends the outer
-// one, so a timing query issued from inside the balance stage counts
-// as timing, not both. Accumulators are process-global atomics --
-// parallel synthesis threads fold into the same totals -- and the
-// whole machinery compiles down to one relaxed atomic load per scope
-// when profiling is disabled (the default), so shipping code paths
-// pay nothing measurable.
-//
-// This is bench instrumentation, not an API: totals are reset/read
-// by the harness around whole synthesis runs.
+// A PhaseProfile is a plain value owned by one synthesize() call and
+// handed down the pipeline through SynthesisContext::profile
+// (cts/context.h); a null profile makes every scope a no-op. Scopes
+// nest EXCLUSIVELY: entering an inner phase suspends the outer one,
+// so a timing query issued from inside the balance stage counts as
+// timing, not both. The nesting is tracked in the profile itself, so
+// one profile must only ever be written by one thread at a time:
+// pooled merges each route into a private profile that the
+// rank-ordered commit folds into the run's (synthesizer.cpp), which
+// also makes every counter independent of the thread count. Phase
+// seconds of a pooled run are summed across workers (CPU time), so
+// wall-clock speedups come from the caller's own timers.
 #ifndef CTSIM_CTS_PHASE_PROFILE_H
 #define CTSIM_CTS_PHASE_PROFILE_H
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
-namespace ctsim::cts::profile {
+namespace ctsim::cts {
 
-enum class Phase : int {
-    maze = 0,
-    balance = 1,
-    timing = 2,
-    refine = 3,
-    exec_idle = 4,  ///< DAG-executor worker wait time (summed over workers)
-};
-inline constexpr int kPhaseCount = 5;
+enum class Phase : int { maze, balance, timing, refine };
 
-enum class Counter : int {
-    maze_calls = 0,       ///< maze_route invocations
-    c2f_coarse_routes,    ///< coarse-pass attempts
-    c2f_refined,          ///< corridor refinements that served the result
-    c2f_fallbacks,        ///< full-grid fallbacks (coarse or corridor failed)
-    deadline_trips,       ///< cancel/deadline trips observed by the pipeline
-    maze_degraded,        ///< maze expansions closed early on a tripped token
-    grid_coarsenings,     ///< routes whose label grid the memory ladder coarsened
-    dag_tasks,            ///< DAG-executor nodes committed
-    dag_steals,           ///< DAG-executor cross-worker steals
-    count_,
-};
-inline constexpr int kCounterCount = static_cast<int>(Counter::count_);
+class ScopedPhase;
 
-struct Snapshot {
+struct PhaseProfile {
     double maze_s{0.0};
     double balance_s{0.0};
     double timing_s{0.0};
     double refine_s{0.0};
-    std::uint64_t maze_calls{0};
-    std::uint64_t c2f_coarse_routes{0};
-    std::uint64_t c2f_refined{0};
-    std::uint64_t c2f_fallbacks{0};
-    std::uint64_t deadline_trips{0};
-    std::uint64_t maze_degraded{0};
-    std::uint64_t grid_coarsenings{0};
-    double exec_idle_s{0.0};
-    std::uint64_t dag_tasks{0};
-    std::uint64_t dag_steals{0};
-};
+    double exec_idle_s{0.0};              ///< DAG-executor worker wait (summed over workers)
+    std::uint64_t maze_calls{0};          ///< maze_route invocations
+    std::uint64_t c2f_coarse_routes{0};   ///< coarse-pass attempts
+    std::uint64_t c2f_refined{0};         ///< corridor refinements that served the result
+    std::uint64_t c2f_fallbacks{0};       ///< full-grid fallbacks (coarse or corridor failed)
+    std::uint64_t dag_tasks{0};           ///< DAG-executor nodes committed
+    std::uint64_t dag_steals{0};          ///< DAG-executor cross-worker steals
 
-void enable(bool on);
-bool enabled();
-void reset();
-Snapshot snapshot();
-
-namespace detail {
-std::atomic<bool>& enabled_flag();
-void add_ns(Phase p, std::uint64_t ns);
-void bump(Counter c, std::uint64_t n = 1);
-}  // namespace detail
-
-/// Per-thread profile collector for multi-tenant serving.
-///
-/// The global accumulators fold every thread into one total, which is
-/// what the bench harness wants -- but a daemon running concurrent
-/// requests needs each request's own phase split, and global snapshot
-/// deltas would smear simultaneous tenants together. While a
-/// ThreadCollector is installed on a thread (RAII), every nanosecond
-/// and counter that thread attributes is recorded here IN ADDITION to
-/// the globals. A request confined to one worker thread (the serving
-/// session pins num_threads = 1) therefore reads its exact private
-/// phase profile from snapshot(), regardless of what other workers
-/// are doing.
-///
-/// Collectors nest (the previous one is restored on destruction) and
-/// only collect while profiling is enabled -- the disarmed fast path
-/// is untouched because add_ns/bump are only reached when enabled.
-class ThreadCollector {
-  public:
-    ThreadCollector();   ///< installs on the calling thread
-    ~ThreadCollector();  ///< restores the previously installed collector
-    ThreadCollector(const ThreadCollector&) = delete;
-    ThreadCollector& operator=(const ThreadCollector&) = delete;
-
-    Snapshot snapshot() const;
-
-    // detail::add_ns / detail::bump use these; not client API.
-    void fold_ns(Phase p, std::uint64_t ns) { phase_ns_[static_cast<int>(p)] += ns; }
-    void fold_count(Counter c, std::uint64_t n) { counters_[static_cast<int>(c)] += n; }
+    /// Add another profile's times and counts (a pooled merge's
+    /// private profile, at its commit).
+    void fold(const PhaseProfile& o);
 
   private:
-    std::uint64_t phase_ns_[kPhaseCount]{};
-    std::uint64_t counters_[kCounterCount]{};
-    ThreadCollector* prev_{nullptr};
+    friend class ScopedPhase;
+    double& seconds(Phase p);
+    ScopedPhase* open_{nullptr};  ///< innermost open scope on this profile
 };
 
-/// Count one event (no-op when profiling is disabled).
-inline void count_event(Counter c) {
-    if (detail::enabled_flag().load(std::memory_order_relaxed)) detail::bump(c);
-}
-
-/// Count `n` events at once (no-op when profiling is disabled). Used
-/// to fold DAG-executor stats into the totals after each execute().
-inline void count_events(Counter c, std::uint64_t n) {
-    if (n != 0 && detail::enabled_flag().load(std::memory_order_relaxed))
-        detail::bump(c, n);
-}
-
-/// Attribute pre-measured seconds to a phase (no-op when profiling is
-/// disabled). For durations measured outside a ScopedPhase, like the
-/// executor's summed worker idle time.
-inline void add_seconds(Phase p, double s) {
-    if (s > 0.0 && detail::enabled_flag().load(std::memory_order_relaxed))
-        detail::add_ns(p, static_cast<std::uint64_t>(s * 1e9));
-}
-
 /// RAII phase scope with exclusive attribution (suspends the
-/// enclosing scope for its lifetime).
+/// enclosing scope of the same profile for its lifetime). Does
+/// nothing when `prof` is null.
 class ScopedPhase {
   public:
-    explicit ScopedPhase(Phase p);
+    ScopedPhase(PhaseProfile* prof, Phase p);
     ~ScopedPhase();
     ScopedPhase(const ScopedPhase&) = delete;
     ScopedPhase& operator=(const ScopedPhase&) = delete;
 
   private:
-    void pause();
-    void resume();
+    using Clock = std::chrono::steady_clock;
+    void stop(Clock::time_point now);
 
-    bool active_{false};
-    Phase phase_{Phase::maze};
+    PhaseProfile* const prof_;
+    double* seconds_{nullptr};  ///< the phase's accumulator in *prof_
     ScopedPhase* parent_{nullptr};
-    std::chrono::steady_clock::time_point start_{};
+    Clock::time_point start_{};
 };
 
-}  // namespace ctsim::cts::profile
+}  // namespace ctsim::cts
 
 #endif  // CTSIM_CTS_PHASE_PROFILE_H

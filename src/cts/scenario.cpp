@@ -166,6 +166,7 @@ ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,
     out.nominal_wirelength_um = nominal.wire_length_um;
     out.buffers = nominal.buffer_count;
     out.levels = nominal.levels;
+    out.profile = nominal.profile;
 
     // Re-timing samples through the engine configuration the nominal
     // synthesis timed its root with is what makes the zero-perturbation

@@ -83,6 +83,9 @@ struct ScenarioResult {
     std::vector<double> yield_curve_skew_ps;
     /// P(skew <= skew_target_ps) over the curve.
     double yield_at_target{0.0};
+    /// Phase profile of the nominal synthesis (the samples' re-timing
+    /// is not profiled).
+    PhaseProfile profile;
 };
 
 /// Validate `spec` (throws util::Error{invalid_input}) and run it.

@@ -153,7 +153,7 @@ constexpr int kPasses = 3;
 bool refine_merge(ClockTree& tree, int m, const delaylib::DelayModel& model,
                   const SynthesisOptions& opt, IncrementalTiming& engine,
                   delaylib::EvalCache& ec, ArrivalWindows& win, SkewRefineStats& stats,
-                  bool count_visit, bool allow_snake) {
+                  bool count_visit, bool allow_snake, const SynthesisContext* ctx) {
     {
         const TreeNode& node = tree.node(m);
         if (node.kind != NodeKind::merge || node.children.size() != 2) return false;
@@ -333,7 +333,7 @@ bool refine_merge(ClockTree& tree, int m, const delaylib::DelayModel& model,
     if (std::abs(err) >= residual - 0.5 && std::abs(err) > 0.9 * absorb) return changed;
     const double stage_shift = stage_after - sd(fast.btype, fast.load, fast.wire);
     tree.disconnect(fast.knob);
-    const SnakeResult sr = snake_delay(tree, fast.knob, burn, model, opt);
+    const SnakeResult sr = snake_delay(tree, fast.knob, burn, model, opt, ctx);
     tree.connect(fast.iso, sr.new_root,
                  std::max(mid_wire, geom::manhattan(tree.node(fast.iso).pos,
                                                     tree.node(sr.new_root).pos)));
@@ -353,8 +353,9 @@ bool refine_merge(ClockTree& tree, int m, const delaylib::DelayModel& model,
 }  // namespace
 
 SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine) {
-    profile::ScopedPhase phase(profile::Phase::refine);
+                            const SynthesisOptions& opt, IncrementalTiming& engine,
+                            const SynthesisContext* ctx) {
+    ScopedPhase phase(profile_of(ctx), Phase::refine);
     SkewRefineStats stats;
     delaylib::EvalCache& ec = eval_cache_for(model, opt);
 
@@ -387,7 +388,8 @@ SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayMode
             }
             if (p > 0 && !win.dirty[m]) continue;
             changed |=
-                refine_merge(tree, m, model, opt, engine, ec, win, stats, p == 0, allow_snake);
+                refine_merge(tree, m, model, opt, engine, ec, win, stats, p == 0, allow_snake,
+                             ctx);
         }
         stats.passes = p + 1;
         if (!changed || stats.cancelled) break;

@@ -63,14 +63,16 @@
 //     at any thread count refines to the same tree. A tripped
 //     CancelToken is polled (counted) between merges, so a deadline
 //     cuts the pass at a deterministic merge.
-//   * Phase attribution: the whole pass runs under
-//     profile::Phase::refine; the rare snake-stage construction keeps
-//     its inner balance scope (exclusive nesting), everything else --
-//     engine walks included -- bills to refine.
+//   * Phase attribution: the whole pass runs under Phase::refine of
+//     the context's profile (cts/phase_profile.h); the rare
+//     snake-stage construction keeps its inner balance scope
+//     (exclusive nesting), everything else -- engine walks included --
+//     bills to refine.
 #ifndef CTSIM_CTS_SKEW_REFINE_H
 #define CTSIM_CTS_SKEW_REFINE_H
 
 #include "cts/clock_tree.h"
+#include "cts/context.h"
 #include "cts/options.h"
 #include "delaylib/delay_model.h"
 
@@ -98,9 +100,11 @@ struct SkewRefineStats {
 /// IncrementalTiming attached to `tree` and consistent with it (all
 /// prior edits notified); the pass keeps it consistent. Invoked by
 /// synthesize() when SynthesisOptions::skew_refine is set; callable
-/// directly on any tree with merge_route-shaped merges.
+/// directly on any tree with merge_route-shaped merges. `ctx` only
+/// carries the phase profile the pass bills to.
 SkewRefineStats refine_skew(ClockTree& tree, int root, const delaylib::DelayModel& model,
-                            const SynthesisOptions& opt, IncrementalTiming& engine);
+                            const SynthesisOptions& opt, IncrementalTiming& engine,
+                            const SynthesisContext* ctx = nullptr);
 
 }  // namespace ctsim::cts
 

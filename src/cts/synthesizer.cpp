@@ -11,7 +11,6 @@
 #include "cts/incremental_timing.h"
 #include "cts/memory_ladder.h"
 #include "cts/parallel_merge.h"
-#include "cts/phase_profile.h"
 #include "util/dag_executor.h"
 #include "util/memory_budget.h"
 #include "util/status.h"
@@ -45,12 +44,11 @@ void validate_sinks(const std::vector<SinkSpec>& sinks) {
     }
 }
 
-/// Fold one DAG execution's scheduling stats into the profile totals.
-void fold_dag_stats(const util::DagExecutor::Stats& st) {
-    profile::add_seconds(profile::Phase::exec_idle, st.idle_s);
-    profile::count_events(profile::Counter::dag_tasks,
-                          static_cast<std::uint64_t>(st.committed));
-    profile::count_events(profile::Counter::dag_steals, st.steals);
+/// Fold one DAG execution's scheduling stats into the run's profile.
+void fold_dag_stats(const util::DagExecutor::Stats& st, PhaseProfile& prof) {
+    prof.exec_idle_s += st.idle_s;
+    prof.dag_tasks += static_cast<std::uint64_t>(st.committed);
+    prof.dag_steals += st.steals;
 }
 
 }  // namespace
@@ -90,6 +88,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     if (budget != nullptr) ctx.memory_ladder = &ladder;
 
     SynthesisResult res;
+    ctx.profile = &res.profile;
     SynthesisDiagnostics& diag = res.diagnostics;
     res.source_buffer = resolve_driver_type(opt.source_buffer, model);
     if (ctx.memory_ladder != nullptr) res.tree.set_memory_ladder(ctx.memory_ladder);
@@ -137,8 +136,12 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
 
     // Merges within a level touch disjoint subtrees, so they can be
     // routed concurrently; commits stay in pairing order, which makes
-    // the result bit-for-bit identical at every thread count.
-    const int nthreads = util::ThreadPool::resolve_thread_count(opt.num_threads);
+    // the result bit-for-bit identical at every thread count. A
+    // budgeted run is serial: concurrent routes would race for the
+    // budget, and where the ladder escalates (and which routes it
+    // coarsens) would then depend on the schedule.
+    const int nthreads =
+        budget != nullptr ? 1 : util::ThreadPool::resolve_thread_count(opt.num_threads);
     std::unique_ptr<util::ThreadPool> pool;
     if (nthreads > 1) pool = std::make_unique<util::ThreadPool>(nthreads);
 
@@ -182,12 +185,6 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     };
 
     while (roots.size() > 1) {
-        // Memory ladder, serial rung: retire the pool at the level
-        // boundary. The workers' pooled label grids and scratch die
-        // with their threads, and the remaining levels run serially.
-        if (pool != nullptr && ctx.memory_ladder != nullptr &&
-            ctx.memory_ladder->at_least(MemoryRung::serial))
-            pool.reset();
         std::vector<LevelNode> level;
         level.reserve(roots.size());
         for (int r : roots)
@@ -242,6 +239,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
                             std::unique_lock<std::shared_mutex> lk(tree_mu);
                             rec = commit_extracted(res.tree, jobs[i]);
                         }
+                        res.profile.fold(jobs[i].profile);
                         note_record(rec);
                         records[rec.merge_node] = rec;
                         timing[rec.merge_node] = rec.timing;
@@ -254,7 +252,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
             // lowest-rank-first, matching the serial first-failure
             // order.
             dag.execute(pool.get());
-            fold_dag_stats(dag.stats());
+            fold_dag_stats(dag.stats(), res.profile);
         } else {
             for (auto [u, v] : pairs) {
                 const MergeRecord rec = merge_route(res.tree, u, v, timing.at(u), timing.at(v),
@@ -304,7 +302,6 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
         diag.deadline_hit = true;
         diag.degraded_at = DegradeStage::merging;
         diag.refine_skipped = opt.skew_refine;
-        profile::count_event(profile::Counter::deadline_trips);
     }
 
     // Post-merge snapshot -- only when the merge phase completed
@@ -330,12 +327,11 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     // counts.
     if (opt.skew_refine && !tripped_during_merge) {
         IncrementalTiming& eng = serial_engine();
-        res.refine = refine_skew(res.tree, res.root, model, opt, eng);
+        res.refine = refine_skew(res.tree, res.root, model, opt, eng, &ctx);
         if (res.refine.cancelled) {
             diag.deadline_hit = true;
             diag.degraded_at = DegradeStage::refine;
             diag.refine_skipped = true;
-            profile::count_event(profile::Counter::deadline_trips);
         }
         res.root_timing = eng.root_timing(res.root);
     }

@@ -25,6 +25,7 @@
 #include "cts/memory_ladder.h"
 #include "cts/merge_routing.h"
 #include "cts/options.h"
+#include "cts/phase_profile.h"
 #include "cts/skew_refine.h"
 #include "cts/timing.h"
 #include "cts/topology.h"
@@ -98,6 +99,7 @@ struct SynthesisResult {
     RootTiming root_timing;  ///< pessimistic model timing at the root
     SkewRefineStats refine;  ///< what the top-down refinement pass did
     SynthesisDiagnostics diagnostics;  ///< degradations and surfaced fallbacks
+    PhaseProfile profile;  ///< where this run's time went (cts/phase_profile.h)
     double wire_length_um{0.0};
     int buffer_count{0};
 

@@ -10,7 +10,7 @@
 // only knobs that are safe to vary per request in a shared process are
 // accepted (quality/seed knobs; `num_threads` is rejected because the
 // pool, not the tenant, owns parallelism -- each admitted request runs
-// confined to one worker so per-request profile deltas stay exact).
+// confined to one worker).
 #ifndef CTSIM_SERVE_REQUEST_H
 #define CTSIM_SERVE_REQUEST_H
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "cts/phase_profile.h"
 #include "cts/scenario.h"
 #include "cts/synthesizer.h"
 #include "tech/buffer_lib.h"
@@ -63,9 +62,6 @@ ServeSession::ServeSession(Config cfg)
             cfg_.library_path, serving_tech(), serving_buflib(), cfg_.fit);
         model_ = owned_model_.get();
     }
-    // Per-request profiles need the global switch on; the collectors
-    // keep concurrent tenants from smearing into each other.
-    cts::profile::enable(true);
     const int n = util::ThreadPool::resolve_thread_count(cfg_.workers);
     threads_.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) threads_.emplace_back([this] { worker_loop(); });
@@ -186,8 +182,7 @@ void ServeSession::run_job(Job& job) {
         const std::vector<cts::SinkSpec> sinks = resolve_sinks(job.req);
 
         cts::SynthesisOptions opt = job.req.options;
-        // One worker = one request: the pool owns parallelism, and a
-        // single-threaded run keeps the ThreadCollector's view exact.
+        // One worker = one request: the pool owns parallelism.
         opt.num_threads = 1;
         opt.deadline_ms = job.req.deadline_ms;
         // Standalone per-request budget, deliberately NOT parented to
@@ -201,8 +196,6 @@ void ServeSession::run_job(Job& job) {
                 : 0.0));
         opt.memory_budget = &request_budget;
 
-        cts::profile::ThreadCollector collector;
-
         if (job.req.type == RequestType::scenario) {
             // Scenario requests run the declarative entry point. The
             // sample fan-out is pinned to this worker exactly like
@@ -213,7 +206,7 @@ void ServeSession::run_job(Job& job) {
             cts::ScenarioSpec spec = job.req.scenario;
             spec.num_threads = 1;
             const cts::ScenarioResult sres = cts::run_scenario(sinks, *model_, opt, spec);
-            const cts::profile::Snapshot prof = collector.snapshot();
+            const cts::PhaseProfile& prof = sres.profile;
             const auto finished = std::chrono::steady_clock::now();
             ok = true;
 
@@ -261,7 +254,7 @@ void ServeSession::run_job(Job& job) {
         }
 
         cts::SynthesisResult res = cts::synthesize(sinks, *model_, opt);
-        const cts::profile::Snapshot prof = collector.snapshot();
+        const cts::PhaseProfile& prof = res.profile;
 
         const auto finished = std::chrono::steady_clock::now();
         const cts::SynthesisDiagnostics& d = res.diagnostics;

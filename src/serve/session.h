@@ -24,8 +24,8 @@
 //    memory_budget_mb; 0 = metering-only) so one tenant's pressure
 //    degrades that tenant, and a fresh IncrementalTiming engine and
 //    arena inside synthesize();
-//  * a profile::ThreadCollector around the call yields the request's
-//    exact per-phase profile even while other workers run.
+//  * the response's profile is the request's own
+//    SynthesisResult::profile, exact whatever other workers run.
 #ifndef CTSIM_SERVE_SESSION_H
 #define CTSIM_SERVE_SESSION_H
 

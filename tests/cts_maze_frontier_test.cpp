@@ -168,12 +168,11 @@ TEST(MazeCoarseToFine, InfeasibleCoarsePitchFallsBackToFullGrid) {
     const double far = max_feasible_run(m, buflib().largest(), 0, 80.0, 80.0, 1e9);
     const double dist = 7.2 * far;  // fine pitch 0.3*far, coarse ~1.4*far
 
-    profile::enable(true);
-    profile::reset();
-    const MazeResult r =
-        maze_route(endpoint({0, 0}, 0.0, m), endpoint({dist, 0.6 * dist}, 0.0, m), m, o);
-    const profile::Snapshot s = profile::snapshot();
-    profile::enable(false);
+    PhaseProfile s;
+    SynthesisContext ctx;
+    ctx.profile = &s;
+    const MazeResult r = maze_route(endpoint({0, 0}, 0.0, m),
+                                    endpoint({dist, 0.6 * dist}, 0.0, m), m, o, &ctx);
 
     EXPECT_EQ(s.c2f_coarse_routes, 1u);
     EXPECT_EQ(s.c2f_fallbacks, 1u);
@@ -187,12 +186,13 @@ TEST(MazeCoarseToFine, RefinementServesLargeMerges) {
     // Sanity: on an ordinary large merge the corridor refinement (not
     // the fallback) serves the result.
     const auto& m = analytic();
-    profile::enable(true);
-    profile::reset();
+    PhaseProfile s;
+    SynthesisContext ctx;
+    ctx.profile = &s;
     const MazeResult r = maze_route(endpoint({0, 0}, 0.0, m),
-                                    endpoint({15000, 9000}, 0.0, m), m, base_opts());
-    const profile::Snapshot s = profile::snapshot();
-    profile::enable(false);
+                                    endpoint({15000, 9000}, 0.0, m), m, base_opts(), &ctx);
+    EXPECT_EQ(s.maze_calls, 1u);
+    EXPECT_GT(s.maze_s, 0.0);
     EXPECT_EQ(s.c2f_refined, 1u);
     EXPECT_EQ(s.c2f_fallbacks, 0u);
     expect_valid(r);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "cts_test_util.h"
 #include "util/memory_budget.h"
@@ -191,30 +192,52 @@ TEST(MemoryBudgetSynth, TinyBudgetFailsTypedNotCrash) {
     EXPECT_EQ(budget.used(), 0u);
 }
 
-TEST(MemoryBudgetSynth, ParallelRunUnderPressureStaysValid) {
-    // Multi-threaded pressure: rung transitions are schedule-dependent
-    // (whichever worker hits the wall first escalates) but validity
-    // never is. The serial rung retires the pool at a level boundary.
-    const auto sinks = random_sinks(48, 20000.0, 103);
+TEST(MemoryBudgetSynth, PooledRunUnderPressureEqualsSerial) {
+    // A budgeted run is serial whatever num_threads says: concurrent
+    // routes racing for the budget would make where the ladder
+    // escalates, and which routes it coarsens, schedule-dependent.
+    // So a num_threads = 4 run under pressure must equal the
+    // num_threads = 1 run node for node, every time.
+    const auto sinks = random_sinks(64, 24000.0, 5);
     util::MemoryBudget meter(0);
     SynthesisOptions mo = opts();
     mo.memory_budget = &meter;
     (void)synthesize(sinks, analytic(), mo);
 
     for (const double frac : {0.8, 0.6}) {
-        util::MemoryBudget budget(
-            static_cast<std::uint64_t>(static_cast<double>(meter.peak()) * frac));
-        SynthesisOptions o = opts();
-        o.num_threads = 4;
-        o.memory_budget = &budget;
-        try {
-            const SynthesisResult res = synthesize(sinks, analytic(), o);
-            expect_valid(res, sinks.size());
-        } catch (const util::Error& e) {
-            EXPECT_EQ(e.status().code(), util::StatusCode::resource_exhaustion)
-                << e.what();
+        SCOPED_TRACE("frac " + std::to_string(frac));
+        const auto cap = static_cast<std::uint64_t>(static_cast<double>(meter.peak()) * frac);
+        struct Outcome {
+            bool ok{false};
+            SynthesisResult res;
+        };
+        const auto run = [&](int threads) {
+            util::MemoryBudget budget(cap);
+            SynthesisOptions o = opts();
+            o.num_threads = threads;
+            o.memory_budget = &budget;
+            Outcome out;
+            try {
+                out.res = synthesize(sinks, analytic(), o);
+                out.ok = true;
+                expect_valid(out.res, sinks.size());
+            } catch (const util::Error& e) {
+                EXPECT_EQ(e.status().code(), util::StatusCode::resource_exhaustion)
+                    << e.what();
+            }
+            EXPECT_EQ(budget.used(), 0u);
+            return out;
+        };
+        const Outcome serial = run(1);
+        for (int rep = 0; rep < 2; ++rep) {
+            const Outcome pooled = run(4);
+            ASSERT_EQ(pooled.ok, serial.ok) << "rep " << rep;
+            if (!serial.ok) continue;
+            expect_identical(pooled.res, serial.res);
+            EXPECT_EQ(pooled.res.diagnostics.memory_rung, serial.res.diagnostics.memory_rung);
+            EXPECT_EQ(pooled.res.diagnostics.grid_coarsened_routes,
+                      serial.res.diagnostics.grid_coarsened_routes);
         }
-        EXPECT_EQ(budget.used(), 0u) << "frac " << frac;
     }
 }
 

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "bench_io/synthetic.h"
-#include "cts/phase_profile.h"
 #include "cts_test_util.h"
 #include "util/cancel.h"
 
@@ -180,25 +179,35 @@ TEST(ParallelSynth, RefineDeadlineCutsMatchSerial) {
 TEST(ParallelSynth, RefineAddsNoExecutorTasksUnderAPool) {
     // Refine is serial: under a pool, only the merge loop feeds the
     // executor, so turning refine on must not change the task count.
-    struct ProfileGuard {
-        bool was = profile::enabled();
-        ~ProfileGuard() {
-            profile::reset();
-            profile::enable(was);
-        }
-    } guard;
-    profile::enable(true);
     const auto sinks = random_sinks(40, 21000.0, 11);
     std::uint64_t tasks[2] = {0, 0};
     for (bool refine : {false, true}) {
         SynthesisOptions o = opts(2);
         o.skew_refine = refine;
-        profile::reset();
-        (void)synthesize(sinks, analytic(), o);
-        tasks[refine] = profile::snapshot().dag_tasks;
+        tasks[refine] = synthesize(sinks, analytic(), o).profile.dag_tasks;
     }
     EXPECT_GT(tasks[0], 0u) << "the pooled merge loop ran no executor tasks";
     EXPECT_EQ(tasks[0], tasks[1]);
+}
+
+TEST(ParallelSynth, ProfileCountersAreWidthInvariant) {
+    // Each pooled route bills a private profile that its rank-ordered
+    // commit folds into the run's, so the routing counters are the
+    // serial run's at every width -- no global state, no smearing.
+    const auto sinks = random_sinks(48, 40000.0, 13);
+    const PhaseProfile serial = synthesize(sinks, analytic(), opts(1)).profile;
+    EXPECT_GE(serial.maze_calls, sinks.size() - 1);
+    EXPECT_GT(serial.c2f_coarse_routes, 0u);
+    EXPECT_EQ(serial.dag_tasks, 0u);
+    for (int threads : {2, 3}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const PhaseProfile par = synthesize(sinks, analytic(), opts(threads)).profile;
+        EXPECT_EQ(par.maze_calls, serial.maze_calls);
+        EXPECT_EQ(par.c2f_coarse_routes, serial.c2f_coarse_routes);
+        EXPECT_EQ(par.c2f_refined, serial.c2f_refined);
+        EXPECT_EQ(par.c2f_fallbacks, serial.c2f_fallbacks);
+        EXPECT_GT(par.dag_tasks, 0u);
+    }
 }
 
 }  // namespace

@@ -9,20 +9,22 @@ if(NOT CLI)
 endif()
 
 set(cases
-  "--seed-policy;max_latency"
-  "--seed-policy;randm"
-  "--matching;greedy-centroid"
-  "--hstructure;diagonal"
-  "--scenario;pareto_sweep"
-  "--grid;abc"
-  "--grid;12x"
-  "--slew;fast"
-  "--deadline-ms;1e999"
-  "--samples;64.5"
-  "--scenario-seed;-1"
-  "--pareto-tols;0,1")
+  "--seed-policy|max_latency"
+  "--seed-policy|randm"
+  "--matching|greedy-centroid"
+  "--hstructure|diagonal"
+  "--scenario|pareto_sweep"
+  "--grid|abc"
+  "--grid|12x"
+  "--slew|fast"
+  "--deadline-ms|1e999"
+  "--samples|64.5"
+  "--scenario-seed|-1"
+  "--pareto-tols|0,1")
 foreach(case IN LISTS cases)
-  execute_process(COMMAND ${CLI} --bench r1 ${case}
+  # A quoted "a;b" would be split by the list itself, so pairs use '|'.
+  string(REPLACE "|" ";" args "${case}")
+  execute_process(COMMAND ${CLI} --bench r1 ${args}
                   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
     message(FATAL_ERROR "ctsim_cli --bench r1 ${case}: exit ${rc}, want 2\n${err}")

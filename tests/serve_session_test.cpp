@@ -127,12 +127,13 @@ TEST(ServeSessionTest, ConcurrentMixedBatchBitIdenticalToStandalone) {
         EXPECT_EQ(static_cast<int>(res->find("levels")->as_number()), want.levels);
 
         // Per-request profile must be the REQUEST's own, not a smear
-        // of whatever the other workers were doing: maze_calls of a
-        // merge tree over n sinks is exactly n - 1 plus refine
-        // re-routes, and those all run on this request's thread.
+        // of whatever the other workers were doing: its counters equal
+        // the standalone run's exactly while three other tenants run.
         const Json* prof = r->find("profile");
         ASSERT_NE(prof, nullptr);
-        EXPECT_GE(prof->find("maze_calls")->as_number(), m.sinks - 1) << i;
+        EXPECT_EQ(prof->find("maze_calls")->as_number(),
+                  static_cast<double>(want.profile.maze_calls))
+            << i;
     }
 
     const serve::StatsSnapshot s = session.stats();

@@ -21,7 +21,6 @@
 //   7  deadline exceeded with no usable result
 //  10  internal error
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
@@ -39,9 +38,14 @@
 #include "cts/synthesizer.h"
 #include "delaylib/fitted_library.h"
 #include "sim/netlist_sim.h"
+#include "tools/cli_args.h"
 #include "util/status.h"
 
 namespace {
+
+using ctsim::cli::integer_arg;
+using ctsim::cli::number_arg;
+using ctsim::cli::usage_error;
 
 void usage() {
     std::printf(
@@ -98,33 +102,6 @@ int exit_code_for(ctsim::util::StatusCode c) {
         case StatusCode::internal: return 10;
     }
     return 10;
-}
-
-/// Usage errors exit 2 before anything is loaded, so a typo'd flag
-/// value can never silently run the defaults.
-[[noreturn]] void usage_error(const std::string& flag, const char* value,
-                              const char* expected) {
-    std::fprintf(stderr, "invalid value '%s' for %s (expected %s)\n", value, flag.c_str(),
-                 expected);
-    std::exit(2);
-}
-
-double number_arg(const std::string& flag, const char* s) {
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(s, &end);
-    if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v))
-        usage_error(flag, s, "a finite number");
-    return v;
-}
-
-long integer_arg(const std::string& flag, const char* s, long lo, long hi) {
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s || *end != '\0' || errno == ERANGE || v < lo || v > hi)
-        usage_error(flag, s, "an integer in range");
-    return v;
 }
 
 [[noreturn]] void die(const ctsim::util::Error& e) {

@@ -9,10 +9,12 @@
 //   ctsimd --socket /tmp/ctsim.sock --workers 0 &
 //
 // Exit status: 0 clean shutdown (EOF or a "shutdown" request),
-// 2 usage error, 6 socket setup failure.
+// 2 usage error (unknown flag, or a malformed or out-of-range flag
+// value), 6 socket setup failure.
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -29,8 +31,16 @@
 
 #include "delaylib/characterizer.h"
 #include "serve/session.h"
+#include "tools/cli_args.h"
 
 namespace {
+
+/// A megabyte amount: a finite number >= 0.
+double nonneg_mb(const std::string& flag, const char* s) {
+    const double v = ctsim::cli::number_arg(flag, s);
+    if (v < 0.0) ctsim::cli::usage_error(flag, s, "a number >= 0");
+    return v;
+}
 
 void usage() {
     std::printf(
@@ -212,10 +222,12 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
-        if (a == "--workers") cfg.workers = std::atoi(next());
-        else if (a == "--queue") cfg.queue_capacity = std::atoi(next());
-        else if (a == "--memory-budget-mb") cfg.memory_budget_mb = std::atof(next());
-        else if (a == "--request-token-mb") cfg.request_token_mb = std::atof(next());
+        if (a == "--workers")
+            cfg.workers = static_cast<int>(cli::integer_arg(a, next(), 0, INT_MAX));
+        else if (a == "--queue")
+            cfg.queue_capacity = static_cast<int>(cli::integer_arg(a, next(), 1, INT_MAX));
+        else if (a == "--memory-budget-mb") cfg.memory_budget_mb = nonneg_mb(a, next());
+        else if (a == "--request-token-mb") cfg.request_token_mb = nonneg_mb(a, next());
         else if (a == "--library") cfg.library_path = next();
         else if (a == "--cache-dir") setenv("CTSIM_CACHE_DIR", next(), 1);
         else if (a == "--fit-quick") {
@@ -234,11 +246,6 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if (cfg.workers < 0 || cfg.queue_capacity < 1) {
-        std::fprintf(stderr, "ctsimd: --workers must be >= 0, --queue >= 1\n");
-        return 2;
-    }
-
     serve::ServeSession session(cfg);
     std::fprintf(stderr, "ctsimd: serving with %d worker(s), queue %d\n",
                  session.workers(), cfg.queue_capacity);
