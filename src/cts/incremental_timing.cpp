@@ -14,6 +14,16 @@ IncrementalTiming::IncrementalTiming(const ClockTree& tree, const delaylib::Dela
     ensure_size();
 }
 
+void IncrementalTiming::reset(const delaylib::DelayModel& model) {
+    model_ = &model;
+    vdriver_ = resolve_driver_type(opt_.virtual_driver, model);
+    for (NodeState& st : state_) {
+        st.comp_valid = false;
+        st.agg_valid = false;
+    }
+    ensure_size();
+}
+
 void IncrementalTiming::ensure_size() {
     if (state_.size() < static_cast<std::size_t>(tree_->size()))
         state_.resize(tree_->size());

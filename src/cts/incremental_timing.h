@@ -60,6 +60,15 @@ class IncrementalTiming {
     /// (children re-linked, subtrees swapped in).
     void subtree_replaced(int node);
 
+    /// Time under `model` from now on. Every cached component and
+    /// aggregate is forgotten, but the per-node state and each node's
+    /// load-vector capacity are kept, so re-timing one tree under many
+    /// models allocates nothing after the first walk. The next query is
+    /// a full walk, bit-identical to a fresh engine's over the same
+    /// tree and model. `model` must outlive every query until the next
+    /// reset.
+    void reset(const delaylib::DelayModel& model);
+
     // --- queries ----------------------------------------------------
     /// Min/max sink arrival from `root`'s input; matches
     /// subtree_timing(tree, root, model, input_slew, propagate).

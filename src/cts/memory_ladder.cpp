@@ -1,5 +1,6 @@
 #include "cts/memory_ladder.h"
 
+#include <algorithm>
 #include <string>
 
 #include "util/status.h"
@@ -11,21 +12,12 @@ MemoryLadder::~MemoryLadder() {
 }
 
 bool MemoryLadder::escalate_one(MemoryRung cap) {
-    int cur = rung_.load(std::memory_order_relaxed);
-    for (;;) {
-        if (cur >= static_cast<int>(cap)) return false;
-        if (rung_.compare_exchange_weak(cur, cur + 1, std::memory_order_relaxed))
-            return true;
-    }
+    if (rung_ >= cap) return false;
+    rung_ = static_cast<MemoryRung>(static_cast<int>(rung_) + 1);
+    return true;
 }
 
-void MemoryLadder::escalate_to(MemoryRung r) {
-    int cur = rung_.load(std::memory_order_relaxed);
-    while (cur < static_cast<int>(r) &&
-           !rung_.compare_exchange_weak(cur, static_cast<int>(r),
-                                        std::memory_order_relaxed)) {
-    }
-}
+void MemoryLadder::escalate_to(MemoryRung r) { rung_ = std::max(rung_, r); }
 
 bool MemoryLadder::try_charge(std::uint64_t bytes) {
     if (budget_ == nullptr) return true;
@@ -53,7 +45,6 @@ void MemoryLadder::charge_required(std::uint64_t bytes, const char* what) {
 
 bool MemoryLadder::charge_shared_once(std::uint64_t bytes) {
     if (budget_ == nullptr) return true;
-    std::lock_guard<std::mutex> lk(shared_mu_);
     if (shared_state_ == 0) {
         if (budget_->try_reserve(bytes)) {
             shared_state_ = 1;

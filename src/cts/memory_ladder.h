@@ -28,12 +28,15 @@
 // the end. Every outcome is a fully-timed tree or a clean typed error,
 // and since budgeted runs are serial the escalation points are a pure
 // function of the input -- the budget-degraded goldens pin them.
+//
+// A ladder belongs to one serial run: synthesize() installs it only
+// when a budget exists, and a budgeted run uses one thread. It is
+// therefore plain state with no synchronization; the MemoryBudget it
+// charges stays thread-safe on its own, since budgets may be shared.
 #ifndef CTSIM_CTS_MEMORY_LADDER_H
 #define CTSIM_CTS_MEMORY_LADDER_H
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "util/memory_budget.h"
 
@@ -65,12 +68,8 @@ class MemoryLadder {
     bool enabled() const { return budget_ != nullptr; }
     util::MemoryBudget* budget() const { return budget_; }
 
-    MemoryRung rung() const {
-        return static_cast<MemoryRung>(rung_.load(std::memory_order_relaxed));
-    }
-    bool at_least(MemoryRung r) const {
-        return rung_.load(std::memory_order_relaxed) >= static_cast<int>(r);
-    }
+    MemoryRung rung() const { return rung_; }
+    bool at_least(MemoryRung r) const { return rung_ >= r; }
 
     /// Optional allocation (a coarse corridor grid): reserve or --
     /// escalating one rung, never past serial -- refuse. The caller
@@ -103,8 +102,7 @@ class MemoryLadder {
     bool escalate_one(MemoryRung cap);
 
     util::MemoryBudget* const budget_;
-    std::atomic<int> rung_{static_cast<int>(MemoryRung::none)};
-    std::mutex shared_mu_;
+    MemoryRung rung_{MemoryRung::none};
     int shared_state_{0};  ///< 0 = unasked, 1 = charged, 2 = refused
     std::uint64_t shared_bytes_{0};
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "cts/incremental_timing.h"
 #include "util/status.h"
@@ -106,15 +105,16 @@ void validate_spec(const ScenarioSpec& spec) {
     if (spec.num_threads < 0) bad("num_threads must be >= 0");
 }
 
-/// Re-time the fixed nominal tree under one sample's scales. A fresh
-/// engine per sample: engine purity makes the walk bit-identical
-/// regardless of which thread runs it or what ran before.
+/// Re-time the fixed nominal tree under one sample's scales through
+/// `eng`, reset onto the sample's perturbed model first. A reset engine
+/// walks the whole tree afresh, so the sample is bit-identical to a
+/// fresh engine's walk whichever worker runs it and whatever that
+/// worker timed before.
 ScenarioSample retime_sample(const SynthesisResult& nominal,
-                             const delaylib::DelayModel& model,
-                             const IncrementalTiming::Options& topt, int index,
-                             double sr, double sc, double sd) {
+                             const delaylib::DelayModel& model, IncrementalTiming& eng,
+                             int index, double sr, double sc, double sd) {
     PerturbedDelayModel pm(model, sr, sc, sd);
-    IncrementalTiming eng(nominal.tree, pm, topt);
+    eng.reset(pm);
     const RootTiming rt = eng.root_timing(nominal.root);
     ScenarioSample s;
     s.index = index;
@@ -198,17 +198,28 @@ ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,
                               sample_scale(var.seed, i, 2, var.buffer_drive_pct)});
     }
 
-    out.samples.resize(scales.size());
-    const auto run_one = [&](int i) {
-        out.samples[i] = retime_sample(nominal, model, topt, i, scales[i].r, scales[i].c,
-                                       scales[i].d);
+    // One engine per worker: the samples split into contiguous index
+    // ranges, one per resolved thread, and each range re-times through
+    // a single engine reset onto every sample's model. Each sample is a
+    // full walk that writes only its own slot, so the split cannot
+    // change a bit.
+    const int n = static_cast<int>(scales.size());
+    out.samples.resize(n);
+    const int nranges =
+        std::min(util::ThreadPool::resolve_thread_count(spec.num_threads), n);
+    const auto run_range = [&](int r) {
+        const int lo = static_cast<int>(static_cast<long long>(n) * r / nranges);
+        const int hi = static_cast<int>(static_cast<long long>(n) * (r + 1) / nranges);
+        IncrementalTiming eng(nominal.tree, model, topt);
+        for (int i = lo; i < hi; ++i)
+            out.samples[i] = retime_sample(nominal, model, eng, i, scales[i].r, scales[i].c,
+                                           scales[i].d);
     };
-    const int nthreads = util::ThreadPool::resolve_thread_count(spec.num_threads);
-    if (nthreads > 1 && scales.size() > 1) {
-        util::ThreadPool pool(nthreads);
-        pool.parallel_for(static_cast<int>(scales.size()), run_one);
-    } else {
-        for (int i = 0; i < static_cast<int>(scales.size()); ++i) run_one(i);
+    if (nranges > 1) {
+        util::ThreadPool pool(nranges);
+        pool.parallel_for(nranges, run_range);
+    } else if (nranges == 1) {
+        run_range(0);
     }
 
     finish_yield(out, spec.skew_target_ps);

@@ -7,8 +7,11 @@
 //     of the subtree, the delay model and the input slew.
 //     Re-timing a FIXED tree under a perturbed model therefore costs
 //     one propagation, not a synthesis -- Monte-Carlo synthesizes the
-//     tree ONCE at nominal and prices each sample as a fresh engine
-//     walk with perturbed R/C/drive parameters.
+//     tree ONCE at nominal and prices each sample as one full engine
+//     walk with perturbed R/C/drive parameters. Each worker owns one
+//     engine and resets it onto every sample's model
+//     (IncrementalTiming::reset), so a sample costs the polynomial
+//     queries and nothing else.
 //   * splitmix64 determinism (util/fault_injection.h idiom): each
 //     sample's perturbation scales are pure functions of
 //     (seed, sample index, parameter), never of evaluation order, so
@@ -90,8 +93,10 @@ struct ScenarioResult {
 
 /// Validate `spec` (throws util::Error{invalid_input}) and run it.
 /// Every mode synthesizes ONCE at nominal with `base`; Monte-Carlo /
-/// corners then re-time the fixed tree per sample through a fresh
-/// IncrementalTiming over a perturbed delay model. Deterministic: the
+/// corners then re-time the fixed tree per sample over a perturbed
+/// delay model: the samples split into contiguous ranges, one per
+/// worker thread, and each range re-times through one IncrementalTiming
+/// reset onto every sample's model. Deterministic: the
 /// result is bit-identical across spec.num_threads values and across
 /// reruns at a fixed seed.
 ScenarioResult run_scenario(const std::vector<SinkSpec>& sinks,

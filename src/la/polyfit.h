@@ -6,10 +6,27 @@
 // branch components). This module provides exactly that: least-squares
 // fits of total-degree-bounded multivariate polynomials, with input
 // normalization for numerical conditioning.
+//
+// Evaluation runs off one flat multiply table. Row k lists, for term
+// k, the dimension index of every multiply the monomial needs: in
+// ascending dimension order, one entry per unit of exponent, padded
+// to the surface's largest total degree with the index of a slot that
+// holds 1.0. Term k is then coeff[k] * n[row[0]] * n[row[1]] * ...,
+// evaluated left to right, and evaluate() is a single fixed-stride
+// loop with no per-exponent branching. The values are bit-identical
+// to the nested exponent walk it replaces: the real multiplies are the
+// same ones in the same order, and x * 1.0 == x exactly in IEEE-754.
+// That rests on the shipped flags: no -ffast-math (which may
+// reassociate) and no FMA contraction (ISO C++20 mode implies
+// -ffp-contract=off in GCC, and the baseline x86-64 target has no FMA
+// unit to contract into). The Vandermonde rows of fit() come from the
+// same table (seed 1.0 instead of the coefficient), so fit and
+// evaluation share one monomial routine.
 #ifndef CTSIM_LA_POLYFIT_H
 #define CTSIM_LA_POLYFIT_H
 
 #include <array>
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -59,12 +76,20 @@ class PolySurface {
     static PolySurface deserialize(std::istream& is);
 
   private:
-    /// Exponent tuples of all monomials with total degree <= degree.
-    static std::vector<std::vector<int>> monomials(int dims, int degree);
+    /// Most input dimensions a surface may have.
+    static constexpr int kMaxDims = 8;
+    /// Normalized input: dims_ coordinates, then the 1.0 pad slot.
+    using Norm = std::array<double, kMaxDims + 1>;
+
+    /// Build the multiply table from `nterms` term-major exponent
+    /// rows (`exponents` holds one `dims_`-tuple per term).
+    void build_table(const std::vector<int>& exponents, std::size_t nterms);
+    Norm normalize(const double* x) const;
 
     int dims_{0};
     int degree_{0};
-    std::vector<std::vector<int>> exponents_;
+    int stride_{0};                    ///< multiplies per term (largest total degree)
+    std::vector<std::uint8_t> table_;  ///< terms x stride_ indices into Norm
     std::vector<double> coeffs_;
     std::vector<double> offset_;  // per-dim normalization: (x - offset) * scale
     std::vector<double> scale_;

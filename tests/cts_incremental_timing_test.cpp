@@ -217,6 +217,46 @@ TEST(IncrementalTiming, EngineIsPureFunctionOfTree) {
     }
 }
 
+TEST(IncrementalTiming, ResetOntoAnotherModelEqualsFreshEngine) {
+    // reset() re-times under a new model with the per-node state
+    // kept: the walk after it must be a full walk, bit-equal to a
+    // fresh engine's under that model, and it must cost exactly the
+    // fresh engine's component evaluations.
+    SynthesisResult res = synthesized_tree(48, 37);
+    const delaylib::DelayModel& a = analytic();
+    const delaylib::DelayModel& b = testutil::fitted_quick();
+    for (const bool propagate : {true, false}) {
+        SCOPED_TRACE(propagate ? "propagated" : "pessimistic");
+        const IncrementalTiming::Options o{-1, 80.0, propagate};
+        IncrementalTiming engine(res.tree, a, o);
+        const RootTiming under_a = engine.root_timing(res.root);
+        (void)engine.report(res.root);
+        const std::uint64_t before = engine.evaluated_components();
+
+        engine.reset(b);
+        IncrementalTiming fresh(res.tree, b, o);
+        const RootTiming x = engine.root_timing(res.root);
+        const RootTiming y = fresh.root_timing(res.root);
+        EXPECT_EQ(x.max_ps, y.max_ps);
+        EXPECT_EQ(x.min_ps, y.min_ps);
+        EXPECT_NE(x.max_ps, under_a.max_ps);  // the models really differ
+        EXPECT_EQ(engine.evaluated_components() - before, fresh.evaluated_components());
+
+        const TimingReport rx = engine.report(res.root);
+        const TimingReport ry = fresh.report(res.root);
+        EXPECT_EQ(rx.max_arrival_ps, ry.max_arrival_ps);
+        EXPECT_EQ(rx.min_arrival_ps, ry.min_arrival_ps);
+        EXPECT_EQ(rx.worst_slew_ps, ry.worst_slew_ps);
+        ASSERT_EQ(rx.sinks.size(), ry.sinks.size());
+        for (std::size_t i = 0; i < rx.sinks.size(); ++i) {
+            EXPECT_EQ(rx.sinks[i].node, ry.sinks[i].node) << i;
+            EXPECT_EQ(rx.sinks[i].arrival_ps, ry.sinks[i].arrival_ps) << i;
+            EXPECT_EQ(rx.sinks[i].slew_ps, ry.sinks[i].slew_ps) << i;
+        }
+        EXPECT_EQ(engine.evaluated_components() - before, fresh.evaluated_components());
+    }
+}
+
 TEST(IncrementalTiming, LeafTrimReTimesDirtyConeOnly) {
     // A wire trim near the leaves must NOT re-evaluate the whole tree:
     // only the component holding the wire and the components below it

@@ -98,11 +98,13 @@ TEST(ScenarioTest, ZeroVariationMonteCarloEqualsNominalExactly) {
 
 TEST(ScenarioTest, SampleFanOutThreadCountInvariant) {
     const auto sinks = sinks_small();
-    cts::ScenarioSpec spec = mc_spec(12, 9);
+    // 13 samples split into uneven contiguous ranges at widths 2 and 3
+    // (6 + 7, 4 + 4 + 5), each range re-timed by one reused engine.
+    cts::ScenarioSpec spec = mc_spec(13, 9);
     spec.num_threads = 1;
     const cts::ScenarioResult serial =
         cts::run_scenario(sinks, testutil::fitted_quick(), {}, spec);
-    for (const int t : {2, 0}) {
+    for (const int t : {2, 3, 0}) {
         spec.num_threads = t;
         const cts::ScenarioResult par =
             cts::run_scenario(sinks, testutil::fitted_quick(), {}, spec);
