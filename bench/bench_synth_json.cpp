@@ -160,19 +160,18 @@ void emit_mode(std::FILE* f, const char* key, const ModeResult& m, bool trailing
                  "      \"%s\": {\"seconds\": %.6f, \"wirelength_um\": %.3f, "
                  "\"buffers\": %d, \"skew_ps\": %.6f, \"tree_nodes\": %d,\n"
                  "        \"phases\": {\"maze_s\": %.6f, \"balance_s\": %.6f, "
-                 "\"timing_s\": %.6f, \"refine_s\": %.6f, \"exec_idle_s\": %.6f},\n"
+                 "\"timing_s\": %.6f, \"refine_s\": %.6f},\n"
                  "        \"maze_calls\": %llu, \"c2f_coarse\": %llu, "
                  "\"c2f_refined\": %llu, \"c2f_fallbacks\": %llu, "
-                 "\"dag_tasks\": %llu, \"dag_steals\": %llu}%s\n",
+                 "\"dag_tasks\": %llu}%s\n",
                  key, m.seconds, m.wirelength_um, m.buffers, m.skew_ps, m.tree_nodes,
                  m.phases.maze_s, m.phases.balance_s, m.phases.timing_s,
-                 m.phases.refine_s, m.phases.exec_idle_s,
+                 m.phases.refine_s,
                  static_cast<unsigned long long>(m.phases.maze_calls),
                  static_cast<unsigned long long>(m.phases.c2f_coarse_routes),
                  static_cast<unsigned long long>(m.phases.c2f_refined),
                  static_cast<unsigned long long>(m.phases.c2f_fallbacks),
                  static_cast<unsigned long long>(m.phases.dag_tasks),
-                 static_cast<unsigned long long>(m.phases.dag_steals),
                  trailing_comma ? "," : "");
 }
 
@@ -319,10 +318,9 @@ int main() {
         std::printf("maze/balance/timing/refine split: %.3f / %.3f / %.3f / %.3f s\n",
                     s.phases.maze_s, s.phases.balance_s, s.phases.timing_s,
                     s.phases.refine_s);
-        std::printf("parallel: %.3fs (%.2fx; DAG idle %.3fs over %llu tasks / %llu steals)\n",
-                    p.seconds, speedup(s.seconds, p.seconds), p.phases.exec_idle_s,
-                    static_cast<unsigned long long>(p.phases.dag_tasks),
-                    static_cast<unsigned long long>(p.phases.dag_steals));
+        std::printf("parallel: %.3fs (%.2fx over %llu DAG tasks)\n", p.seconds,
+                    speedup(s.seconds, p.seconds),
+                    static_cast<unsigned long long>(p.phases.dag_tasks));
     }
     return all_identical ? 0 : 1;
 }

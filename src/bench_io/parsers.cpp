@@ -4,6 +4,9 @@
 #include "util/status.h"
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <string>
@@ -46,6 +49,18 @@ std::vector<Tok> split_line(const std::string& line, int line_no) {
 [[noreturn]] void fail(const std::string& filename, int line, int col,
                        const std::string& what) {
     util::throw_status(util::Status::invalid_input(what).at(filename, line, col));
+}
+
+/// The value of numeric token `t`, or a typed error at the token when it
+/// is not a number or its value is not a finite, in-range double
+/// (`1e400`, `inf`, `nan`).
+double number(const std::string& filename, const Tok& t, const std::string& what) {
+    if (!is_number(t.text)) fail(filename, t.line, t.col, what + " is not a number");
+    errno = 0;
+    const double v = std::strtod(t.text.c_str(), nullptr);
+    if (errno == ERANGE || !std::isfinite(v))
+        fail(filename, t.line, t.col, what + " '" + t.text + "' is out of range");
+    return v;
 }
 
 /// Streaming tokenizer for the token-shaped ISPD format: hands out
@@ -110,23 +125,23 @@ std::vector<cts::SinkSpec> parse_gsrc_bst(std::istream& is, const std::string& f
         if (header) continue;
 
         cts::SinkSpec s;
-        const Tok* cap_tok = nullptr;
         if (toks.size() == 3 && is_number(toks[0].text)) {
-            s.pos = {std::stod(toks[0].text), std::stod(toks[1].text)};
-            s.cap_ff = std::stod(toks[2].text);
-            cap_tok = &toks[2];
             s.name = util::indexed_name("s", static_cast<long long>(sinks.size()));
         } else if (toks.size() == 4 && is_number(toks[1].text) && is_number(toks[2].text) &&
                    is_number(toks[3].text)) {
             s.name = toks[0].text;
-            s.pos = {std::stod(toks[1].text), std::stod(toks[2].text)};
-            s.cap_ff = std::stod(toks[3].text);
-            cap_tok = &toks[3];
         } else {
             fail(filename, line_no, toks[0].col, "expected 'x y cap' or 'name x y cap'");
         }
+        // Either shape ends in 'x y cap'.
+        const Tok& x = toks[toks.size() - 3];
+        const Tok& y = toks[toks.size() - 2];
+        const Tok& cap = toks[toks.size() - 1];
+        s.pos = {number(filename, x, "GSRC: sink x coordinate"),
+                 number(filename, y, "GSRC: sink y coordinate")};
+        s.cap_ff = number(filename, cap, "GSRC: sink capacitance");
         if (s.cap_ff <= 0.0)
-            fail(filename, line_no, cap_tok->col, "sink capacitance must be positive");
+            fail(filename, line_no, cap.col, "sink capacitance must be positive");
         sinks.push_back(std::move(s));
     }
     if (sinks.empty()) fail(filename, line_no, 0, "GSRC BST file contains no sinks");
@@ -143,30 +158,27 @@ std::vector<cts::SinkSpec> parse_ispd09(std::istream& is, const std::string& fil
             if (!tz.next(kind)) break;
             if (kind.text == "sink") {
                 Tok count;
-                if (!tz.next(count) || !is_number(count.text) ||
-                    std::stod(count.text) <= 0.0 ||
-                    std::stod(count.text) != static_cast<int>(std::stod(count.text))) {
+                if (!tz.next(count)) {
                     const auto [l, c] = tz.last();
                     fail(filename, l, c, "ispd09: bad 'num sink' count");
                 }
-                const int expected = static_cast<int>(std::stod(count.text));
+                // Range-check before the cast: an int cast of a count
+                // beyond INT_MAX is undefined.
+                const double n = number(filename, count, "ispd09: 'num sink' count");
+                if (n <= 0.0 || n > INT_MAX || n != std::floor(n))
+                    fail(filename, count.line, count.col, "ispd09: bad 'num sink' count");
+                const int expected = static_cast<int>(n);
                 for (int i = 0; i < expected; ++i) {
                     Tok id, xs, ys, caps;
                     if (!tz.next(id) || !tz.next(xs) || !tz.next(ys) || !tz.next(caps)) {
                         const auto [l, c] = tz.last();
                         fail(filename, l, c, "ispd09: truncated sink section");
                     }
-                    if (!is_number(xs.text))
-                        fail(filename, xs.line, xs.col,
-                             "ispd09: sink x coordinate is not a number");
-                    if (!is_number(ys.text))
-                        fail(filename, ys.line, ys.col,
-                             "ispd09: sink y coordinate is not a number");
-                    if (!is_number(caps.text))
-                        fail(filename, caps.line, caps.col,
-                             "ispd09: sink capacitance is not a number");
-                    sinks.push_back({{std::stod(xs.text), std::stod(ys.text)},
-                                     std::stod(caps.text),
+                    // Braced initializers evaluate left to right, so the
+                    // first bad token is the one reported.
+                    sinks.push_back({{number(filename, xs, "ispd09: sink x coordinate"),
+                                      number(filename, ys, "ispd09: sink y coordinate")},
+                                     number(filename, caps, "ispd09: sink capacitance"),
                                      id.text});
                 }
             } else {

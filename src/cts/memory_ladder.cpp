@@ -22,7 +22,7 @@ void MemoryLadder::escalate_to(MemoryRung r) { rung_ = std::max(rung_, r); }
 bool MemoryLadder::try_charge(std::uint64_t bytes) {
     if (budget_ == nullptr) return true;
     if (budget_->try_reserve(bytes)) return true;
-    escalate_one(MemoryRung::serial);
+    escalate_one(MemoryRung::lean_scratch);
     return false;
 }
 
@@ -33,7 +33,7 @@ void MemoryLadder::charge_required(std::uint64_t bytes, const char* what) {
     // scratch), so a retry can genuinely succeed.
     for (;;) {
         if (budget_->try_reserve(bytes)) return;
-        if (!escalate_one(MemoryRung::serial)) break;
+        if (!escalate_one(MemoryRung::lean_scratch)) break;
     }
     escalate_to(MemoryRung::exhausted);
     util::throw_status(util::Status::resource_exhaustion(
@@ -51,7 +51,7 @@ bool MemoryLadder::charge_shared_once(std::uint64_t bytes) {
             shared_bytes_ = bytes;
         } else {
             shared_state_ = 2;
-            escalate_one(MemoryRung::serial);
+            escalate_one(MemoryRung::lean_scratch);
         }
     }
     return shared_state_ == 1;

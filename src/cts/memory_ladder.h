@@ -12,10 +12,7 @@
 //   lean_scratch  shrink the pooled per-thread label grids to a single
 //                 transient grid: scratch is trimmed after every route
 //                 so only the active route's labels stay resident.
-//   serial        the last polite rung before exhaustion. A budgeted
-//                 run already executes at width 1 (synthesize()
-//                 ignores num_threads under a budget), so this rung
-//                 only records that the pressure got this deep.
+//                 The last polite rung.
 //   exhausted     a reservation the pipeline cannot do without (tree
 //                 arena growth, the active route's own label grid)
 //                 still failed -- raise resource_exhaustion with the
@@ -42,14 +39,13 @@
 
 namespace ctsim::cts {
 
-enum class MemoryRung : int { none = 0, drop_c2f, lean_scratch, serial, exhausted };
+enum class MemoryRung : int { none = 0, drop_c2f, lean_scratch, exhausted };
 
 inline const char* memory_rung_name(MemoryRung r) {
     switch (r) {
         case MemoryRung::none: return "none";
         case MemoryRung::drop_c2f: return "drop_c2f";
         case MemoryRung::lean_scratch: return "lean_scratch";
-        case MemoryRung::serial: return "serial";
         case MemoryRung::exhausted: return "exhausted";
     }
     return "unknown";
@@ -72,7 +68,7 @@ class MemoryLadder {
     bool at_least(MemoryRung r) const { return rung_ >= r; }
 
     /// Optional allocation (a coarse corridor grid): reserve or --
-    /// escalating one rung, never past serial -- refuse. The caller
+    /// escalating one rung, never past lean_scratch -- refuse. The caller
     /// skips the allocation on false.
     bool try_charge(std::uint64_t bytes);
 

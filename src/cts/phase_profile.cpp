@@ -7,13 +7,11 @@ void PhaseProfile::fold(const PhaseProfile& o) {
     balance_s += o.balance_s;
     timing_s += o.timing_s;
     refine_s += o.refine_s;
-    exec_idle_s += o.exec_idle_s;
     maze_calls += o.maze_calls;
     c2f_coarse_routes += o.c2f_coarse_routes;
     c2f_refined += o.c2f_refined;
     c2f_fallbacks += o.c2f_fallbacks;
     dag_tasks += o.dag_tasks;
-    dag_steals += o.dag_steals;
 }
 
 double& PhaseProfile::seconds(Phase p) {

@@ -32,13 +32,11 @@ struct PhaseProfile {
     double balance_s{0.0};
     double timing_s{0.0};
     double refine_s{0.0};
-    double exec_idle_s{0.0};              ///< DAG-executor worker wait (summed over workers)
     std::uint64_t maze_calls{0};          ///< maze_route invocations
     std::uint64_t c2f_coarse_routes{0};   ///< coarse-pass attempts
     std::uint64_t c2f_refined{0};         ///< corridor refinements that served the result
     std::uint64_t c2f_fallbacks{0};       ///< full-grid fallbacks (coarse or corridor failed)
     std::uint64_t dag_tasks{0};           ///< DAG-executor nodes committed
-    std::uint64_t dag_steals{0};          ///< DAG-executor cross-worker steals
 
     /// Add another profile's times and counts (a pooled merge's
     /// private profile, at its commit).

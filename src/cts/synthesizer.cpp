@@ -44,13 +44,6 @@ void validate_sinks(const std::vector<SinkSpec>& sinks) {
     }
 }
 
-/// Fold one DAG execution's scheduling stats into the run's profile.
-void fold_dag_stats(const util::DagExecutor::Stats& st, PhaseProfile& prof) {
-    prof.exec_idle_s += st.idle_s;
-    prof.dag_tasks += static_cast<std::uint64_t>(st.committed);
-    prof.dag_steals += st.steals;
-}
-
 }  // namespace
 
 SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
@@ -252,7 +245,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
             // lowest-rank-first, matching the serial first-failure
             // order.
             dag.execute(pool.get());
-            fold_dag_stats(dag.stats(), res.profile);
+            res.profile.dag_tasks += static_cast<std::uint64_t>(dag.stats().committed);
         } else {
             for (auto [u, v] : pairs) {
                 const MergeRecord rec = merge_route(res.tree, u, v, timing.at(u), timing.at(v),

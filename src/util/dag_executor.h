@@ -1,15 +1,14 @@
-// Deterministic task executor with work stealing and rank-ordered
-// commits.
+// Ordered-commit executor over ThreadPool::parallel_for.
 //
 // Parallel synthesis runs each level's merges through it: every merge
-// is an independent node, a worker starts the next one the moment it
-// is free, and commits drain while later routes are still in flight,
+// is an independent node, the pool hands nodes out one index at a
+// time, and commits drain while later routes are still in flight,
 // with no level barrier.
 //
 // THE DETERMINISM CONTRACT (docs/parallelism.md has the long form).
 // Every node is split into two phases:
 //
-//   run     executed concurrently by whichever worker steals it.
+//   run     executed concurrently by whichever worker draws it.
 //           May read shared state that no commit of the same graph
 //           writes and must not write anything another node reads.
 //           Typical use: route a merge in a private arena.
@@ -21,7 +20,7 @@
 //
 // Because every observable write happens in the commit phase and the
 // commit sequence is the fixed rank order, the final state is a pure
-// function of the graph: steal order, thread count and completion
+// function of the graph: dispatch order, thread count and completion
 // order cannot change it. Serial execution (rank-ordered run+commit)
 // and any parallel schedule are bit-for-bit identical as long as the
 // run phases honor their read-isolation contract -- which is exactly
@@ -41,13 +40,10 @@
 // bodies and carry the failing rank in the error message -- the
 // stress sweep (tests/util_dag_fault_test.cpp) crosses them with
 // seeds and schedule fuzz to prove lowest-rank-wins and the exact
-// committed-prefix guarantee under any steal order.
+// committed-prefix guarantee under any dispatch order.
 #ifndef CTSIM_UTIL_DAG_EXECUTOR_H
 #define CTSIM_UTIL_DAG_EXECUTOR_H
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -61,11 +57,9 @@ class DagExecutor {
   public:
     /// What one execute() did, for the profile counters and tests.
     struct Stats {
-        int nodes{0};          ///< nodes in the executed graph
-        int ran{0};            ///< run phases that executed
-        int committed{0};      ///< commits published (a rank prefix)
-        std::uint64_t steals{0};  ///< ready nodes taken from another worker
-        double idle_s{0.0};    ///< summed worker wait time (all workers)
+        int nodes{0};      ///< nodes in the executed graph
+        int ran{0};        ///< run phases that executed
+        int committed{0};  ///< commits published (a rank prefix)
     };
 
     DagExecutor() = default;
@@ -76,21 +70,21 @@ class DagExecutor {
     /// phase may be empty.
     int add_node(std::function<void()> run, std::function<void()> commit = {});
 
-    /// Run the graph to completion over `pool` (null or a 1-wide pool
-    /// executes inline, still honoring the fuzz hook's pick order).
-    /// Rethrows the lowest-rank failure after the graph settles. The
-    /// node list is consumed (cleared) whether execute() throws or
-    /// not, so the executor can be reloaded and reused.
+    /// Run the graph to completion over `pool` (null runs inline, still
+    /// honoring the fuzz hook's dispatch order). Rethrows the
+    /// lowest-rank failure after the graph settles. The node list is
+    /// consumed (cleared) whether execute() throws or not, so the
+    /// executor can be reloaded and reused.
     void execute(ThreadPool* pool);
 
     int size() const { return static_cast<int>(nodes_.size()); }
     const Stats& stats() const { return stats_; }
 
     /// Schedule-fuzzing test hook (process-global): a nonzero seed
-    /// makes every subsequent execute() perturb its pop/steal/push
-    /// order with a deterministic per-execution RNG stream. Output
-    /// must be bit-identical anyway -- that is the point. 0 restores
-    /// the default locality-first policy.
+    /// makes every subsequent execute() dispatch its ranks in a
+    /// deterministic per-execution permutation instead of rank order.
+    /// Output must be bit-identical anyway -- that is the point. 0
+    /// restores rank-order dispatch.
     static void set_test_fuzz(unsigned seed);
 
   private:
@@ -101,30 +95,20 @@ class DagExecutor {
         bool failed{false};
     };
 
-    void worker_loop(int wid);
-    /// Pop a ready node for worker `wid` (own deque first, then steal;
-    /// fuzz perturbs every choice). -1 when none available. Lock held.
-    int acquire_locked(int wid, std::uint64_t& rng);
-    void push_ready_locked(int wid, int node, std::uint64_t& rng);
+    void run_node(int rank);
     void advance_lane(std::unique_lock<std::mutex>& lk);
     void record_error_locked(int rank);
-    bool out_of_work_locked() const;
-    bool finished_locked() const;
 
     std::vector<Node> nodes_;
     Stats stats_{};
 
     // --- execution state (valid only inside execute()) -------------
     std::mutex m_;
-    std::condition_variable cv_;
-    std::vector<std::deque<int>> ready_;
     int next_commit_{0};
-    int running_{0};
     bool lane_busy_{false};
     bool frozen_{false};   ///< lane hit a failed rank; no further commits
     std::exception_ptr error_{nullptr};
     int error_rank_{-1};
-    std::uint64_t fuzz_{0};  ///< 0 = locality-first policy
 };
 
 }  // namespace ctsim::util

@@ -3,9 +3,11 @@
 // The synthesizer's per-level merges are independent, so the only
 // primitive needed is a blocking parallel_for: submit n index-jobs,
 // have every worker (plus the calling thread) drain them, return when
-// all are done. Workers are persistent across calls so per-thread
-// state (the delay-evaluation caches, the pooled maze label grids)
-// stays warm for the whole synthesis run.
+// all are done. It is the one scheduling substrate: DagExecutor's
+// ordered-commit lane and the Monte-Carlo sample fan-out both run on
+// it. Workers are persistent across calls so per-thread state (the
+// delay-evaluation caches, the pooled maze label grids) stays warm
+// for the whole synthesis run.
 #ifndef CTSIM_UTIL_THREAD_POOL_H
 #define CTSIM_UTIL_THREAD_POOL_H
 

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <sstream>
+#include <string>
 
 #include "bench_io/parsers.h"
 #include "bench_io/synthetic.h"
@@ -144,6 +145,54 @@ TEST(IspdParser, NonNumericCapacitancePointsAtTheToken) {
     EXPECT_EQ(s.code(), util::StatusCode::invalid_input);
     EXPECT_EQ(s.line(), 2);
     EXPECT_EQ(s.column(), 10);  // "heavy"
+}
+
+// ---- numbers that parse but are not finite, in-range doubles --------------
+
+TEST(IspdParser, OverflowingCoordinatePointsAtTheToken) {
+    std::istringstream in("num sink 1\n0 1e400 5 10\n");
+    const util::Status s = catch_status([&] { (void)parse_ispd09(in, "f15.cns"); });
+    EXPECT_EQ(s.code(), util::StatusCode::invalid_input);
+    EXPECT_EQ(s.line(), 2);
+    EXPECT_EQ(s.column(), 3);  // "1e400"
+}
+
+TEST(IspdParser, NonFiniteCapacitancePointsAtTheToken) {
+    for (const char* cap : {"inf", "nan", "-infinity"}) {
+        std::istringstream in(std::string("num sink 1\ns1 30 40 ") + cap + "\n");
+        const util::Status s = catch_status([&] { (void)parse_ispd09(in, "f16.cns"); });
+        EXPECT_EQ(s.code(), util::StatusCode::invalid_input) << cap;
+        EXPECT_EQ(s.line(), 2) << cap;
+        EXPECT_EQ(s.column(), 10) << cap;
+    }
+}
+
+TEST(IspdParser, OutOfRangeSinkCountPointsAtTheCount) {
+    // The count is range-checked before any int cast.
+    for (const char* count : {"1e400", "inf", "1e10", "-3", "2.5"}) {
+        std::istringstream in(std::string("num sink ") + count + "\n0 1 2 3\n");
+        const util::Status s = catch_status([&] { (void)parse_ispd09(in, "f17.cns"); });
+        EXPECT_EQ(s.code(), util::StatusCode::invalid_input) << count;
+        EXPECT_EQ(s.line(), 1) << count;
+        EXPECT_EQ(s.column(), 10) << count;
+    }
+}
+
+TEST(GsrcParser, OutOfRangeNumberPointsAtTheToken) {
+    const struct {
+        const char* text;
+        int column;
+    } cases[] = {{"s0 10 1e400 5\n", 7},   // overflowing y
+                 {"s0 1e-400 20 5\n", 4},  // underflowing x
+                 {"10 20 nan\n", 7},       // non-finite cap, bare triple
+                 {"10 abc 5\n", 4}};       // bare triple, non-numeric y
+    for (const auto& c : cases) {
+        std::istringstream in(c.text);
+        const util::Status s = catch_status([&] { (void)parse_gsrc_bst(in, "r2.bst"); });
+        EXPECT_EQ(s.code(), util::StatusCode::invalid_input) << c.text;
+        EXPECT_EQ(s.line(), 1) << c.text;
+        EXPECT_EQ(s.column(), c.column) << c.text;
+    }
 }
 
 TEST(Synthetic, SuiteMatchesPublishedSinkCounts) {

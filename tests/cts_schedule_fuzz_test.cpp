@@ -1,7 +1,7 @@
 // Schedule-fuzzing determinism suite for the DAG-executor pipeline
-// (docs/parallelism.md): DagExecutor::set_test_fuzz perturbs every
-// pop/steal/push decision of every executor in the process with a
-// seeded RNG stream, so each seed drives the pooled merge loop
+// (docs/parallelism.md): DagExecutor::set_test_fuzz makes every
+// executor in the process dispatch its ranks in a seeded permutation,
+// so each seed drives the pooled merge loop
 // through a different interleaving of run phases before the serial
 // refine pass runs on a fresh engine.
 // The determinism contract says the OUTPUT is a pure function of the

@@ -2,7 +2,7 @@
 // (util/dag_executor.h x util/fault_injection.h): the three probe
 // sites -- task allocation, run bodies, the commit lane -- are swept
 // as a fault-site x seed x schedule-fuzz cross-product, proving that
-// under ANY steal order a fired probe surfaces as the LOWEST-RANK
+// under ANY dispatch order a fired probe surfaces as the LOWEST-RANK
 // structured error with the committed prefix EXACTLY the ranks below
 // it, and that the executor stays reusable afterwards. The CI stress
 // label runs this under ASan and TSan.
@@ -100,7 +100,7 @@ void sweep_cell(FaultSite site, StatusCode want_code, ThreadPool* pool,
     } else {
         // Exact committed prefix: every rank below the reported
         // failure published, in order, and nothing else -- under any
-        // steal order.
+        // dispatch order.
         EXPECT_EQ(dag.stats().committed, failed_rank);
         std::vector<int> want(failed_rank);
         std::iota(want.begin(), want.end(), 0);
@@ -125,7 +125,7 @@ TEST(DagFault, RunAndCommitFaultSweepAcrossSeedsAndSchedules) {
     for (const auto& s : sites)
         for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool2, &pool4})
             for (unsigned fuzz = 0; fuzz <= 4; ++fuzz) {
-                FuzzGuard fz(fuzz);  // 0 = default locality-first policy
+                FuzzGuard fz(fuzz);  // 0 = rank-order dispatch
                 for (std::uint64_t seed = 1; seed <= 8; ++seed)
                     sweep_cell(s.site, s.code, pool, seed, 0.2);
             }

@@ -113,7 +113,7 @@ TEST(MemoryLadder, NullBudgetDisablesEverything) {
     EXPECT_EQ(ladder.rung(), MemoryRung::none);
 }
 
-TEST(MemoryLadder, OptionalChargeEscalatesOneRungAndStopsAtSerial) {
+TEST(MemoryLadder, OptionalChargeEscalatesOneRungAndStopsAtLeanScratch) {
     MemoryBudget b(100);
     MemoryLadder ladder(&b);
     ASSERT_TRUE(b.try_reserve(100));  // budget already full
@@ -121,15 +121,13 @@ TEST(MemoryLadder, OptionalChargeEscalatesOneRungAndStopsAtSerial) {
     EXPECT_EQ(ladder.rung(), MemoryRung::drop_c2f);
     EXPECT_FALSE(ladder.try_charge(10));
     EXPECT_EQ(ladder.rung(), MemoryRung::lean_scratch);
+    // Optional charges never escalate past lean_scratch -- exhausted
+    // is reserved for a REQUIRED charge the pipeline cannot skip.
     EXPECT_FALSE(ladder.try_charge(10));
-    EXPECT_EQ(ladder.rung(), MemoryRung::serial);
-    // Optional charges never escalate past serial -- exhausted is
-    // reserved for a REQUIRED charge the pipeline cannot skip.
-    EXPECT_FALSE(ladder.try_charge(10));
-    EXPECT_EQ(ladder.rung(), MemoryRung::serial);
+    EXPECT_EQ(ladder.rung(), MemoryRung::lean_scratch);
     b.release(100);
     EXPECT_TRUE(ladder.try_charge(10));  // space again: charge succeeds
-    EXPECT_EQ(ladder.rung(), MemoryRung::serial);  // but rungs are sticky
+    EXPECT_EQ(ladder.rung(), MemoryRung::lean_scratch);  // but rungs are sticky
     ladder.release(10);
 }
 
@@ -195,7 +193,7 @@ TEST(MemoryLadder, EscalateToRecordsDeepestRung) {
     ladder.escalate_to(MemoryRung::drop_c2f);  // never goes backwards
     EXPECT_EQ(ladder.rung(), MemoryRung::lean_scratch);
     EXPECT_TRUE(ladder.at_least(MemoryRung::drop_c2f));
-    EXPECT_FALSE(ladder.at_least(MemoryRung::serial));
+    EXPECT_FALSE(ladder.at_least(MemoryRung::exhausted));
 }
 
 }  // namespace
