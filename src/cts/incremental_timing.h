@@ -118,10 +118,11 @@ class IncrementalTiming {
 
 /// Engine configuration the synthesis loop runs with: slews
 /// propagated top-down from each queried subtree root, the assumed
-/// slew at the root's driver. The serial synthesizer (one persistent
-/// engine on the shared tree) and the parallel path (one fresh engine
-/// per extracted merge arena) must both build engines from this
-/// helper, or serial/parallel bit-for-bit equivalence breaks.
+/// slew at the root's driver. The run's engine on the shared tree
+/// (serial levels, H-structure checks, refine) and the pooled levels'
+/// engines (one fresh engine per extracted merge arena) must both build
+/// engines from this helper, or serial/parallel bit-for-bit
+/// equivalence breaks.
 inline IncrementalTiming::Options synthesis_timing_options(const SynthesisOptions& opt) {
     IncrementalTiming::Options o;
     o.virtual_driver = -1;

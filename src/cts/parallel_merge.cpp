@@ -1,6 +1,7 @@
 #include "cts/parallel_merge.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "cts/incremental_timing.h"
 
@@ -9,15 +10,18 @@ namespace ctsim::cts {
 namespace {
 
 /// Copy the subtree of `root` into `m.local`, returning the local root
-/// id. Preorder, so parents precede children and links can be wired as
-/// nodes are created. Sink names are not copied: the private arena
-/// only feeds the router and the timing engine, and the shared tree
-/// keeps the originals.
+/// id. Preorder off an explicit stack whose entries carry the local id
+/// of their parent, so each node is linked as it is created (children
+/// in their shared-tree order) and no global->local map is needed.
+/// Sink names are not copied: the private arena only feeds the router
+/// and the timing engine, and the shared tree keeps the originals.
 int copy_subtree(const ClockTree& tree, int root, ExtractedMerge& m,
-                 std::vector<int>& order, std::vector<int>& local_of) {
-    tree.subtree_into(root, order);
+                 std::vector<std::pair<int, int>>& stack) {
     const int local_root = m.local.size();
-    for (int g : order) {
+    stack.assign(1, {root, -1});
+    while (!stack.empty()) {
+        const auto [g, local_parent] = stack.back();
+        stack.pop_back();
         const TreeNode& n = tree.node(g);
         int lid = -1;
         switch (n.kind) {
@@ -34,10 +38,10 @@ int copy_subtree(const ClockTree& tree, int root, ExtractedMerge& m,
                 lid = m.local.add_buffer(n.pos, n.buffer_type);
                 break;
         }
-        local_of[g] = lid;
         m.to_global.push_back(g);
-        if (g != root)
-            m.local.connect(local_of[n.parent], lid, n.parent_wire_um);
+        if (local_parent >= 0) m.local.connect(local_parent, lid, n.parent_wire_um);
+        for (auto c = n.children.rbegin(); c != n.children.rend(); ++c)
+            stack.emplace_back(*c, lid);
     }
     return local_root;
 }
@@ -49,15 +53,9 @@ ExtractedMerge extract_merge(const ClockTree& tree, int a, int b, const RootTimi
     ExtractedMerge m;
     m.ta = ta;
     m.tb = tb;
-    // Global->local id map. Never cleared: every read (a preorder
-    // parent lookup) is preceded by a write for the same pair, so
-    // stale entries from earlier extractions are unreachable.
-    static thread_local std::vector<int> local_of;
-    if (local_of.size() < static_cast<std::size_t>(tree.size()))
-        local_of.resize(tree.size(), -1);
-    static thread_local std::vector<int> order;
-    m.local_a = copy_subtree(tree, a, m, order, local_of);
-    m.local_b = copy_subtree(tree, b, m, order, local_of);
+    std::vector<std::pair<int, int>> stack;
+    m.local_a = copy_subtree(tree, a, m, stack);
+    m.local_b = copy_subtree(tree, b, m, stack);
     m.copied = m.local.size();
     return m;
 }

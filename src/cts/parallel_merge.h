@@ -12,11 +12,12 @@
 // wirelengths and timing) the serial synthesizer produces: results are
 // bit-for-bit reproducible at any thread count.
 //
-// Scheduling lives in synthesizer.cpp: by default each level's pairs
-// are DAG-executor nodes (run = extract + route, commit = the pairing-
-// order publication; docs/parallelism.md), which overlaps later pairs'
-// routing with earlier pairs' commits instead of joining the level at
-// a barrier.
+// Scheduling lives in synthesizer.cpp: the pairs of each level with
+// at least kMinPooledPairs pairs are DAG-executor nodes (run = extract
+// + route, commit = the pairing-order publication;
+// docs/parallelism.md), which overlaps later pairs' routing with
+// earlier pairs' commits instead of joining the level at a barrier.
+// Smaller levels route in place on the shared tree.
 #ifndef CTSIM_CTS_PARALLEL_MERGE_H
 #define CTSIM_CTS_PARALLEL_MERGE_H
 

@@ -20,6 +20,13 @@ namespace ctsim::cts {
 
 namespace {
 
+/// Fewest pairs a level needs to go to the pool. Each pooled pair
+/// copies both subtrees into a private arena, re-times them there on
+/// a fresh engine and replays their links at commit; a level with few
+/// (and hence large) pairs routes faster in place on the run's engine.
+/// Picked from a sweep at 2 and 4 threads (docs/parallelism.md).
+constexpr std::size_t kMinPooledPairs = 16;
+
 /// Reject bad external netlists up front with location-free but
 /// sink-identifying structured errors (the sink index and name are
 /// the "location" of a netlist).
@@ -138,32 +145,21 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     std::unique_ptr<util::ThreadPool> pool;
     if (nthreads > 1) pool = std::make_unique<util::ThreadPool>(nthreads);
 
-    // Persistent incremental engine on the shared tree: serial merges
-    // re-time through it, so lower levels stay cached across the whole
-    // run. It exists ONLY when no pool does: commit_extracted rewrites
-    // links of pre-existing nodes without engine notifications, so a
-    // long-lived engine must never coexist with parallel commits.
-    // Pooled runs instead build a fresh engine per merge -- in the
-    // extracted arenas (parallel_merge.cpp) and for the single-pair
-    // levels below -- and purity of the cached values keeps every path
-    // bit-for-bit identical.
-    // (A resumed run skips the merge loop entirely, so it never
-    // creates the persistent engine: the refine step builds a fresh
-    // one on the adopted tree, and engine purity makes its cached
-    // values bit-identical to the long-lived engine's.)
+    // The run's one incremental engine on the shared tree. Everything
+    // serial re-times through it -- serial levels, H-structure checks,
+    // the refine pass -- so cached subtrees carry over from step to
+    // step. It is created on first use and dropped only when a pooled
+    // level commits: commit_extracted rewrites links of pre-existing
+    // nodes without engine notifications, so no engine may outlive
+    // that. Engine purity makes a re-created engine's numbers
+    // bit-identical to a long-lived one's. (A resumed run skips the
+    // merge loop and creates it on the adopted tree.)
     std::unique_ptr<IncrementalTiming> engine;
-    if (!pool && !have_resume)
-        engine = std::make_unique<IncrementalTiming>(res.tree, model,
-                                                     synthesis_timing_options(opt));
-    // The engine for one serial step on the shared tree (an H-structure
-    // check, a single-pair merge, the refine pass): the persistent
-    // engine, or a fresh one per step when there is none.
-    std::unique_ptr<IncrementalTiming> step_engine;
     const auto serial_engine = [&]() -> IncrementalTiming& {
-        if (engine) return *engine;
-        step_engine = std::make_unique<IncrementalTiming>(res.tree, model,
-                                                          synthesis_timing_options(opt));
-        return *step_engine;
+        if (!engine)
+            engine = std::make_unique<IncrementalTiming>(res.tree, model,
+                                                         synthesis_timing_options(opt));
+        return *engine;
     };
 
     // Degradation bookkeeping: every committed merge reports whether
@@ -198,7 +194,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
 
         std::vector<int> next;
         next.reserve(pairs.size() + 1);
-        if (pool && pairs.size() > 1) {
+        if (pool && pairs.size() >= kMinPooledPairs) {
             // DAG pipeline (docs/parallelism.md): one node per pair,
             // extract+route in the concurrent run phase, commit in the
             // rank-ordered lane. Pairs within a level are independent
@@ -246,7 +242,10 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
             // order.
             dag.execute(pool.get());
             res.profile.dag_tasks += static_cast<std::uint64_t>(dag.stats().committed);
+            engine.reset();  // the commits rewrote links without notifying it
         } else {
+            // A narrow level, or no pool: route in place on the run's
+            // engine.
             for (auto [u, v] : pairs) {
                 const MergeRecord rec = merge_route(res.tree, u, v, timing.at(u), timing.at(v),
                                                     model, opt, serial_engine(), &ctx);
@@ -314,10 +313,7 @@ SynthesisResult synthesize(const std::vector<SinkSpec>& sinks,
     }
 
     // Top-down skew refinement (skew_refine.h) on the finished tree,
-    // always single-threaded. Serial runs reuse the persistent engine;
-    // pooled and resumed runs build a fresh one here, and engine
-    // purity keeps the result bit-for-bit identical across thread
-    // counts.
+    // always single-threaded, on the run's engine.
     if (opt.skew_refine && !tripped_during_merge) {
         IncrementalTiming& eng = serial_engine();
         res.refine = refine_skew(res.tree, res.root, model, opt, eng, &ctx);

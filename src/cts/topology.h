@@ -8,6 +8,11 @@
 // neighbor; with an odd node count, a seed node (the one with maximum
 // latency) skips the level. The Drake-Hougardy path-growing matching
 // [22] is provided as the comparison policy.
+//
+// Both policies return exactly what the paper's O(n^2) scans return
+// (ties to the lowest index), but answer each lowest-cost-neighbor
+// query from a uniform bucket grid over the level, so a level costs
+// near-linear time instead of the quadratic bottleneck of Sec 4.3.
 #ifndef CTSIM_CTS_TOPOLOGY_H
 #define CTSIM_CTS_TOPOLOGY_H
 

@@ -6,6 +6,7 @@
 #include "bench_io/synthetic.h"
 #include "cts_test_util.h"
 #include "util/cancel.h"
+#include "util/thread_pool.h"
 
 namespace ctsim::cts {
 namespace {
@@ -43,49 +44,66 @@ void expect_identical(const SynthesisResult& a, const SynthesisResult& b) {
     }
 }
 
+/// A pooled run (`threads` resolving to more than one worker) must
+/// have routed its wide levels through the executor and its narrow
+/// top levels in place: one task per pooled merge, and fewer than
+/// the sinks - 1 merges of the whole tree.
+void expect_mixed_levels(const SynthesisResult& r, std::size_t sinks, int threads) {
+    if (util::ThreadPool::resolve_thread_count(threads) < 2) return;  // no pool
+    EXPECT_GT(r.profile.dag_tasks, 0u) << "no level went to the pool";
+    EXPECT_LT(r.profile.dag_tasks, sinks - 1) << "no level routed in place";
+}
+
 TEST(ParallelSynth, BitForBitIdenticalToSerial) {
-    const auto sinks = random_sinks(48, 24000.0, 7);
+    const auto sinks = random_sinks(160, 40000.0, 7);
     const auto serial = synthesize(sinks, analytic(), opts(1));
-    const auto par2 = synthesize(sinks, analytic(), opts(2));
-    const auto par4 = synthesize(sinks, analytic(), opts(4));
-    expect_identical(serial, par2);
-    expect_identical(serial, par4);
+    EXPECT_EQ(serial.profile.dag_tasks, 0u);
+    for (int threads : {2, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        const auto par = synthesize(sinks, analytic(), opts(threads));
+        expect_identical(serial, par);
+        expect_mixed_levels(par, sinks.size(), threads);
+    }
 }
 
 TEST(ParallelSynth, HardwareThreadCountMatchesSerial) {
-    const auto sinks = random_sinks(30, 18000.0, 21);
+    const auto sinks = random_sinks(160, 36000.0, 21);
     const auto serial = synthesize(sinks, analytic(), opts(1));
     const auto par = synthesize(sinks, analytic(), opts(0));  // 0 = hardware threads
     expect_identical(serial, par);
+    expect_mixed_levels(par, sinks.size(), 0);
 }
 
 TEST(ParallelSynth, IdenticalAcrossRepeatedRuns) {
     // The pooled label grids and per-thread caches must not leak state
     // between synthesize calls.
-    const auto sinks = random_sinks(24, 30000.0, 3);
+    const auto sinks = random_sinks(160, 60000.0, 3);
     const auto first = synthesize(sinks, analytic(), opts(3));
     const auto second = synthesize(sinks, analytic(), opts(3));
     expect_identical(first, second);
+    expect_mixed_levels(first, sinks.size(), 3);
 }
 
 TEST(ParallelSynth, OddRootCountAndSeedPassthrough) {
-    // Odd sink counts exercise the seed-node passthrough interleaved
-    // with parallel commits.
-    const auto sinks = random_sinks(17, 15000.0, 5);
+    // Odd root counts on pooled levels (165 -> 83 -> 42 roots) and on
+    // serial ones exercise the seed-node passthrough interleaved with
+    // parallel commits.
+    const auto sinks = random_sinks(165, 42000.0, 5);
     const auto serial = synthesize(sinks, analytic(), opts(1));
     const auto par = synthesize(sinks, analytic(), opts(4));
     expect_identical(serial, par);
-    EXPECT_EQ(serial.tree.sinks_below(serial.root).size(), 17u);
+    expect_mixed_levels(par, sinks.size(), 4);
+    EXPECT_EQ(serial.tree.sinks_below(serial.root).size(), 165u);
 }
 
 TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
-    // The pooled merge alone, and followed by the serial refine pass
-    // on a fresh engine, at every interesting width (1 = inline
-    // executor, 2/3 = contended lane, 0 = hardware width): each cell
-    // must be bit-identical to the single-threaded run of the SAME
-    // phase set, so a determinism leak is attributed to a phase, not
-    // just to "parallel".
-    const auto sinks = random_sinks(40, 21000.0, 11);
+    // The merge alone, and followed by the serial refine pass on the
+    // run's engine, at every interesting width (1 = no pool, 2/3 =
+    // contended lane, 0 = hardware width): each cell must be
+    // bit-identical to the single-threaded run of the SAME phase set,
+    // so a determinism leak is attributed to a phase, not just to
+    // "parallel".
+    const auto sinks = random_sinks(160, 40000.0, 11);
     for (bool refine : {false, true}) {
         SynthesisOptions so = opts(1);
         so.skew_refine = refine;
@@ -95,16 +113,18 @@ TEST(ParallelSynth, ThreadByPhaseMatrixMatchesSerial) {
             o.skew_refine = refine;
             SCOPED_TRACE(std::string(refine ? "merge+refine" : "merge-only") +
                          " threads=" + std::to_string(threads));
-            expect_identical(serial, synthesize(sinks, analytic(), o));
+            const auto par = synthesize(sinks, analytic(), o);
+            expect_identical(serial, par);
+            expect_mixed_levels(par, sinks.size(), threads);
         }
     }
 }
 
 TEST(ParallelSynth, HStructureModesMatchSerial) {
     // H-structure re-pairings run serially on the shared tree before
-    // each level's DAG; under a pool they re-time through a fresh
-    // engine per check instead of the serial run's long-lived one, and
-    // engine purity must keep the trees identical. (Re-timing them
+    // each level's DAG, on the run's engine; under a pool that engine
+    // is re-created after every pooled level instead of living for
+    // the whole run, and engine purity must keep the trees identical. (Re-timing them
     // with batch subtree_timing instead drifts by float ulps, which
     // flips re-pairing decisions on this instance.)
     bench_io::BenchmarkSpec spec;
@@ -122,7 +142,9 @@ TEST(ParallelSynth, HStructureModesMatchSerial) {
             o.num_threads = threads;
             SCOPED_TRACE("hstructure " + std::to_string(static_cast<int>(mode)) +
                          " threads=" + std::to_string(threads));
-            expect_identical(serial, synthesize(sinks, testutil::fitted_quick(), o));
+            const auto par = synthesize(sinks, testutil::fitted_quick(), o);
+            expect_identical(serial, par);
+            expect_mixed_levels(par, sinks.size(), threads);
         }
     }
 }
@@ -170,6 +192,7 @@ TEST(ParallelSynth, RefineDeadlineCutsMatchSerial) {
             SCOPED_TRACE("cut n=" + std::to_string(n) + " threads=" + std::to_string(threads));
             const auto par = synthesize(sinks, analytic(), o);
             expect_identical(serial, par);
+            expect_mixed_levels(par, sinks.size(), threads);
             EXPECT_EQ(serial.diagnostics.deadline_hit, par.diagnostics.deadline_hit);
             EXPECT_EQ(serial.diagnostics.degraded_at, par.diagnostics.degraded_at);
         }
@@ -187,6 +210,7 @@ TEST(ParallelSynth, RefineAddsNoExecutorTasksUnderAPool) {
         tasks[refine] = synthesize(sinks, analytic(), o).profile.dag_tasks;
     }
     EXPECT_GT(tasks[0], 0u) << "the pooled merge loop ran no executor tasks";
+    EXPECT_LT(tasks[0], sinks.size() - 1) << "no level routed in place";
     EXPECT_EQ(tasks[0], tasks[1]);
 }
 
@@ -207,6 +231,7 @@ TEST(ParallelSynth, ProfileCountersAreWidthInvariant) {
         EXPECT_EQ(par.c2f_refined, serial.c2f_refined);
         EXPECT_EQ(par.c2f_fallbacks, serial.c2f_fallbacks);
         EXPECT_GT(par.dag_tasks, 0u);
+        EXPECT_LT(par.dag_tasks, sinks.size() - 1);
     }
 }
 

@@ -1,9 +1,9 @@
 // Schedule-fuzzing determinism suite for the DAG-executor pipeline
 // (docs/parallelism.md): DagExecutor::set_test_fuzz makes every
 // executor in the process dispatch its ranks in a seeded permutation,
-// so each seed drives the pooled merge loop
+// so each seed drives the pooled levels of the merge loop
 // through a different interleaving of run phases before the serial
-// refine pass runs on a fresh engine.
+// levels and the refine pass run on the run's engine.
 // The determinism contract says the OUTPUT is a pure function of the
 // graph -- commits publish in rank order no matter what the schedule
 // does -- so every seed at every width must reproduce the serial tree
@@ -81,17 +81,23 @@ void fuzz_matrix(const std::vector<SinkSpec>& sinks, const char* label) {
             std::string what = std::string(label) + " threads=" +
                                std::to_string(threads) + " seed=" + std::to_string(seed);
             expect_identical(serial, par, what.c_str());
+            // Both kinds of level ran: the wide bottom levels through
+            // the pool, the narrow top ones in place (one executor
+            // task per pooled merge, sinks - 1 merges in all).
+            EXPECT_GT(par.profile.dag_tasks, 0u) << what;
+            EXPECT_LT(par.profile.dag_tasks, sinks.size() - 1) << what;
             if (testing::Test::HasFatalFailure()) return;
         }
     }
 }
 
 // Two instances with different level shapes: a wide even-count
-// spread (deep pairing levels, long refine spines) and a smaller
-// odd-count one (seed-node passthrough interleaves unpaired roots
-// with committed merges).
+// spread (several pooled levels, then serial ones; long refine
+// spines) and a smaller odd-count one whose 16-pair bottom level is
+// the narrowest that is pooled (seed-node passthrough interleaves
+// unpaired roots with committed merges).
 TEST(ScheduleFuzz, WideInstanceMatchesSerialUnderAllSchedules) {
-    fuzz_matrix(random_sinks(48, 24000.0, 7), "wide");
+    fuzz_matrix(random_sinks(160, 40000.0, 7), "wide");
 }
 
 TEST(ScheduleFuzz, OddInstanceMatchesSerialUnderAllSchedules) {
